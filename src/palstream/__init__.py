@@ -6,9 +6,9 @@ a never-before-seen palindrome just appeared, in amortized time logarithmic
 in the alphabet size per symbol (linear for alphabets with equality only).
 """
 
+from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
 from .detector import DetectorSummary, PalindromeDetector, StepReport
 from .manacher import SENTINEL, OnlineManacher
-from .ukkonen import ChildStorageMode, Node, OnlineSuffixTree, PerfCounters
 
 __version__ = "0.1.0"
 
@@ -16,8 +16,7 @@ __all__ = [
     "SENTINEL",
     "OnlineManacher",
     "ChildStorageMode",
-    "Node",
-    "OnlineSuffixTree",
+    "OnlineSuffixAutomaton",
     "PerfCounters",
     "PalindromeDetector",
     "StepReport",

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 
 from . import oracle
+from .automaton import ChildStorageMode
 from .detector import DetectorSummary, PalindromeDetector
 from .selftest import REFERENCE_WORD
-from .ukkonen import ChildStorageMode
 
 __all__ = ["GENERATORS", "BenchConfig", "BenchMeasurement", "make_input",
            "run_one", "run_config"]
@@ -69,7 +69,6 @@ class BenchMeasurement:
     manacher_loop_iters: int
     manacher_loop_bound: int
     nodes: int
-    leaves: int
     child_probes: int
     suffix_link_hops: int
     distinct_count: int
@@ -88,7 +87,6 @@ class BenchMeasurement:
             "manacher_loop_iters": self.manacher_loop_iters,
             "manacher_loop_bound": self.manacher_loop_bound,
             "nodes": self.nodes,
-            "leaves": self.leaves,
             "child_probes": self.child_probes,
             "suffix_link_hops": self.suffix_link_hops,
             "distinct_count": self.distinct_count,
@@ -171,7 +169,6 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
             manacher_loop_iters=first_summary.manacher_loop_total,
             manacher_loop_bound=4 * n,
             nodes=counters.nodes,
-            leaves=counters.leaves,
             child_probes=counters.child_probes,
             suffix_link_hops=counters.suffix_link_hops,
             distinct_count=first_summary.distinct_count,

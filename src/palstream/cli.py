@@ -7,15 +7,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from typing import Iterator
 
 import click
 
 from . import selftest as selftest_module
+from .automaton import ChildStorageMode
 from .bench import GENERATORS, BenchConfig, BenchMeasurement, run_config
 from .detector import PalindromeDetector, StepReport
-from .ukkonen import ChildStorageMode
 
 
 @click.group()
@@ -54,27 +55,45 @@ def _json_record(report: StepReport) -> dict:
     }
 
 
-def _byte_symbols(stream) -> Iterator[int]:
+class _ReadError(Exception):
+    """Reading or decoding the input failed; writing the output did not."""
+
+
+def _chunks(read) -> Iterator:
     while True:
-        chunk = stream.read(65536)
+        try:
+            chunk = read(65536)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _ReadError(exc) from exc
         if not chunk:
             return
+        yield chunk
+
+
+def _byte_symbols(stream) -> Iterator[int]:
+    for chunk in _chunks(stream.read):
         yield from chunk
 
 
 def _token_symbols(stream) -> Iterator[str]:
-    text = io.TextIOWrapper(stream, encoding="utf-8")
     tail = ""
-    while True:
-        chunk = text.read(65536)
-        if not chunk:
-            if tail:
-                yield tail
-            return
+    for chunk in _chunks(io.TextIOWrapper(stream, encoding="utf-8").read):
         chunk = tail + chunk
         parts = chunk.split()
         tail = parts.pop() if parts and not chunk[-1].isspace() else ""
         yield from parts
+    if tail:
+        yield tail
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit cannot fail again on output that already failed."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 
 
 @main.command("run")
@@ -90,7 +109,8 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     Bytes are the symbols by default; --tokens switches to whitespace-
     separated tokens, which exercises large alphabets.  Output is flushed
     per record, so prefixes of the input always yield prefixes of the
-    output.
+    output.  A reader that closes the output early (``| head``) ends the
+    run normally.
     """
     if file is None or file == "-":
         stream = sys.stdin.buffer
@@ -117,8 +137,14 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
             else:
                 out.write(json.dumps(_json_record(report)) + "\n")
             out.flush()
-    except (OSError, UnicodeDecodeError) as exc:
+    except BrokenPipeError:
+        _discard_stdout()
+    except _ReadError as exc:
         click.echo(f"error: failed reading input: {exc}", err=True)
+        sys.exit(1)
+    except OSError as exc:
+        _discard_stdout()
+        click.echo(f"error: failed writing output: {exc}", err=True)
         sys.exit(1)
     finally:
         if close_stream:
@@ -149,7 +175,7 @@ def _bench_table(results: list[BenchMeasurement]) -> str:
               help="Comma-separated input lengths, strictly increasing.")
 @click.option("--mode", type=click.Choice(["ordered", "unordered"]),
               default="ordered", show_default=True,
-              help="Child-storage mode of the suffix tree.")
+              help="Child-storage mode of the suffix automaton.")
 @click.option("--reps", type=int, default=1, show_default=True,
               help="Repetitions per size (fresh seed each).")
 @click.option("--seed", type=int, default=0, show_default=True,

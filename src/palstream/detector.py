@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .manacher import OnlineManacher
-from .ukkonen import ChildStorageMode, OnlineSuffixTree, PerfCounters
+from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
+from .manacher import SENTINEL, OnlineManacher
 
 __all__ = ["StepReport", "DetectorSummary", "PalindromeDetector"]
 
@@ -48,19 +48,24 @@ class DetectorSummary:
 
 
 class PalindromeDetector:
-    """Streams symbols through the palindrome trackers and the suffix tree.
+    """Streams symbols through the palindrome trackers and the suffix automaton.
 
     Symbols may be any hashable, equality-comparable objects; ordered
-    child-storage mode additionally needs them totally ordered.  Independent
-    detectors share no state; a single detector is single-writer.
+    child-storage mode additionally needs them totally ordered.  The three
+    structures read one symbol buffer that the detector appends to.
+    Independent detectors share no state; a single detector is single-writer.
+    A push that raises leaves the structures inconsistent, so every later
+    push raises too.
     """
 
     def __init__(self, mode: ChildStorageMode | str = ChildStorageMode.ORDERED) -> None:
-        self._odd = OnlineManacher(0)
-        self._even = OnlineManacher(1)
-        self._tree = OnlineSuffixTree(mode)
+        self._text: list = [None, SENTINEL]
+        self._odd = OnlineManacher._over(self._text, 0)
+        self._even = OnlineManacher._over(self._text, 1)
+        self._tree = OnlineSuffixAutomaton._over(self._text, mode)
         self._n = 0
         self._distinct = 0
+        self._failure: BaseException | None = None
 
     @property
     def mode(self) -> ChildStorageMode:
@@ -78,19 +83,29 @@ class PalindromeDetector:
         """Consume one symbol and report the state of the extended stream.
 
         All three substructures absorb the symbol before anything is queried.
+        If any of them raises, the exception propagates and the detector is
+        marked failed: later pushes raise :class:`RuntimeError`.
         """
-        self._odd.add_letter(c)
-        self._even.add_letter(c)
-        self._tree.add_letter(c)
-        self._n = n = self._n + 1
-        odd = self._odd.max_pal()
-        even = self._even.max_pal()
-        longest = odd if odd >= even else even
-        unique = self._tree.min_unique_suff()
-        span = None
-        if longest >= unique:
-            span = (n - longest + 1, n)
-            self._distinct += 1
+        if self._failure is not None:
+            raise RuntimeError("detector unusable: an earlier push failed with "
+                               f"{self._failure!r}") from self._failure
+        try:
+            self._text.append(c)
+            self._odd.add_letter(c)
+            self._even.add_letter(c)
+            self._tree.add_letter(c)
+            self._n = n = self._n + 1
+            odd = self._odd.max_pal()
+            even = self._even.max_pal()
+            longest = odd if odd >= even else even
+            unique = self._tree.min_unique_suff()
+            span = None
+            if longest >= unique:
+                span = (n - longest + 1, n)
+                self._distinct += 1
+        except BaseException as exc:
+            self._failure = exc
+            raise
         return StepReport(
             n=n,
             max_pal_odd=odd,

@@ -39,17 +39,27 @@ class OnlineManacher:
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
 
-    __slots__ = ("delta", "_text", "_rad", "_i", "_n", "_loop_iters")
+    __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_n", "_loop_iters")
 
     def __init__(self, delta: int) -> None:
         if delta not in (0, 1):
             raise ValueError(f"parity must be 0 (odd) or 1 (even), got {delta!r}")
         self.delta = delta
         self._text: list = [None, SENTINEL]  # 1-based; slot 0 unused
+        self._owns_text = True
         self._rad = [0, 0, 0]  # zero-filled; kept addressable through n + 1
         self._n = 1
         self._i = 2  # makes the first add_letter skip the loop cleanly
         self._loop_iters = 0
+
+    @classmethod
+    def _over(cls, text: list, delta: int) -> OnlineManacher:
+        """A tracker reading ``text``, a buffer in the internal layout above
+        whose owner appends each symbol before calling :meth:`add_letter`."""
+        manacher = cls(delta)
+        manacher._text = text
+        manacher._owns_text = False
+        return manacher
 
     def add_letter(self, c: object) -> None:
         """Append one symbol and re-establish the suffix-palindrome center.
@@ -63,7 +73,8 @@ class OnlineManacher:
         text, rad, delta = self._text, self._rad, self.delta
         n, i = self._n, self._i
         s = i - rad[i] + delta  # start of the maximal suffix-palindrome so far
-        text.append(c)  # text[n + 1] = c
+        if self._owns_text:
+            text.append(c)  # text[n + 1] = c
         rad.append(0)  # keeps index n + 2 valid for the next call
         iters = 0
         while i + rad[i] <= n:

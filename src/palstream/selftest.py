@@ -7,8 +7,8 @@ from itertools import product
 from typing import Callable, Sequence
 
 from . import oracle
+from .automaton import ChildStorageMode
 from .detector import PalindromeDetector
-from .ukkonen import ChildStorageMode
 
 __all__ = [
     "REFERENCE_WORD",
@@ -104,7 +104,7 @@ def oracle_failures(
         problems.append(
             f"{w!r}: manacher loop total {summary.manacher_loop_total} > 4n = {4 * n}")
     if n and summary.tree.nodes > 2 * n:
-        problems.append(f"{w!r}: {summary.tree.nodes} tree nodes > 2n = {2 * n}")
+        problems.append(f"{w!r}: {summary.tree.nodes} automaton states > 2n = {2 * n}")
     return problems
 
 

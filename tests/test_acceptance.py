@@ -9,6 +9,7 @@ with the engine under test.
 
 import math
 import random
+import statistics
 import time
 from itertools import product
 
@@ -155,9 +156,9 @@ def test_c4_counting_bound_tight_case():
 
 
 def test_c5_amortization_counters():
-    """Criterion 5: combined inner-loop passes stay within 4n and explicit
-    tree nodes within 2n on a mixed corpus (the equivalence harnesses assert
-    the same bounds on every string they sweep)."""
+    """Criterion 5: combined inner-loop passes stay within 4n and automaton
+    states within 2n on a mixed corpus (the equivalence harnesses assert the
+    same bounds on every string they sweep)."""
     rng = random.Random(99)
     corpus = [REFERENCE_WORD, "a" * 20_000,
               "".join(rng.choice("ab") for _ in range(30_000)),
@@ -200,13 +201,28 @@ def test_c7_directional_complexity():
     """Criterion 7: doubling the input length roughly doubles wall time, and
     child probes grow at least linearly with alphabet size when unordered but
     only logarithm-like when ordered.  Counter checks are machine independent;
-    the wall-clock check is a ratio, not an absolute time."""
+    the wall-clock check is a ratio, not an absolute time.  On a shared host
+    the speed drifts over seconds, so the two lengths run back to back in
+    pairs, in alternating order, and the median of the per-pair ratios is
+    gated."""
     started = time.perf_counter()
 
-    timing = run_config(BenchConfig("uniform_a", sizes=(100_000, 200_000),
-                                    repetitions=3, seed=1))
-    ratio = timing[1].wall_best / timing[0].wall_best
-    assert 1.5 <= ratio <= 2.8, f"wall-time doubling ratio {ratio:.2f}"
+    def wall(n):
+        config = BenchConfig("uniform_a", sizes=(n,), seed=1)
+        return run_config(config)[0].wall_best
+
+    ratios = []
+    for pair in range(7):
+        if pair % 2 == 0:
+            short = wall(100_000)
+            long = wall(200_000)
+        else:
+            long = wall(200_000)
+            short = wall(100_000)
+        ratios.append(long / short)
+    ratio = statistics.median(ratios)
+    assert 1.5 <= ratio <= 2.8, \
+        f"wall-time doubling ratio {ratio:.2f} (pairs: {', '.join(f'{r:.2f}' for r in ratios)})"
 
     probes = {}
     sigmas = (16, 256, 4096)

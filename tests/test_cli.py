@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import palstream
 from palstream.cli import main
 
 REFERENCE_WORD = "abadaadcaa"
@@ -39,6 +44,15 @@ def runner():
 
 def jsonl_records(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def cli_env():
+    """Environment for a `python -m palstream.cli` child that imports this
+    palstream."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(palstream.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
 
 
 def table_records(text):
@@ -125,6 +139,44 @@ class TestRun:
         full_lines = full.stdout.splitlines()
         part_lines = part.stdout.splitlines()
         assert full_lines[:5] == part_lines
+
+    def test_output_closed_early_ends_cleanly(self, tmp_path):
+        # `palstream run FILE | head -2`: the reader leaves after two records
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"ab" * 50_000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "palstream.cli", "run", "--format", "jsonl", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        try:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert [json.loads(line)["n"] for line in lines] == [1, 2]
+        assert proc.returncode == 0
+        assert stderr == b""
+
+    def test_write_failure_is_not_reported_as_input_error(self, tmp_path):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        path = tmp_path / "input.txt"
+        path.write_bytes(REFERENCE_WORD.encode())
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "palstream.cli", "run", str(path)],
+                stdout=full, stderr=subprocess.PIPE, env=cli_env(), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().startswith("error: failed writing output:")
+
+    def test_undecodable_tokens_are_an_input_error(self, runner):
+        result = runner.invoke(main, ["run", "--tokens"], input=b"ok \xff\xfe")
+        assert result.exit_code == 1
+        assert "failed reading input" in result.stderr
 
 
 class TestBench:
