@@ -126,8 +126,9 @@ class OnlineSuffixAutomaton:
 
     # -- construction ----------------------------------------------------------
 
-    def add_letter(self, c) -> None:
-        """Extend the text by one symbol.
+    def add_letter(self, c) -> int:
+        """Extend the text by one symbol and return the new
+        :meth:`min_unique_suff`.
 
         Walks the suffix links from the previous whole-text state, giving
         each state without a transition on ``c`` one to the new state.  The
@@ -172,13 +173,15 @@ class OnlineSuffixAutomaton:
         self._hops += hops
         if p == -1:  # c is new: only the empty suffix occurs earlier
             link.append(0)
-            return
+            return 1
         clone_len = self._clone_len
         len_p = p if p >= 0 else clone_len[~p]
+        # the new state's link has length len_p + 1, whether q or a clone
         if len_p + 1 == (q if q >= 0 else clone_len[~q]):
             link.append(q)
         else:
             link.append(self._clone(p, q, c, len_p + 1))
+        return len_p + 2
 
     def _clone(self, p: int, q: int, c, length: int) -> int:
         """Split ``q`` for the new symbol ``c``: a clone of length ``length``

@@ -141,7 +141,7 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
     results = []
     for n in sizes:
         times = []
-        first_summary: DetectorSummary | None = None
+        summaries: list[DetectorSummary] = []
         for rep in range(cfg.repetitions):
             symbols = make_input(cfg.generator, cfg.sigma, n,
                                  cfg.seed * 1_000_003 + rep)
@@ -151,10 +151,9 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
                     f"loop bound violated: {summary.manacher_loop_total} > {4 * n} "
                     f"(gen={cfg.generator}, n={n}, rep={rep})")
             times.append(elapsed)
-            if first_summary is None:
-                first_summary = summary
+            summaries.append(summary)
         best = min(times)
-        assert first_summary is not None
+        first_summary = summaries[0]  # validate() guarantees a repetition
         counters = first_summary.tree
         results.append(BenchMeasurement(
             generator=cfg.generator,

@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 input/configuration error, 2 self-test failure.
 
 from __future__ import annotations
 
-import io
+import codecs
 import json
 import os
 import sys
@@ -31,53 +31,56 @@ _TABLE_HEADER = (f"{'n':>8} {'max_pal':>8} {'min_unique_suff':>16} "
                  f"{'new':>14} {'closure_len':>12} {'distinct_count':>15}")
 
 
-def _span_text(report: StepReport) -> str | None:
-    if report.new_palindrome is None:
-        return None
-    start, end = report.new_palindrome
-    return f"{start}-{end}"
+def _table_line(report: StepReport) -> str:
+    """One table row; the first record also gets the header."""
+    n, _, _, longest, unique, span, closure, distinct = report
+    new = "-" if span is None else f"{span[0]}-{span[1]}"
+    row = (f"{n:>8} {longest:>8} {unique:>16} {new:>14} {closure:>12} "
+           f"{distinct:>15}\n")
+    return _TABLE_HEADER + "\n" + row if n == 1 else row
 
 
-def _table_row(report: StepReport) -> str:
-    new = _span_text(report) or "-"
-    return (f"{report.n:>8} {report.max_pal:>8} {report.min_unique_suff:>16} "
-            f"{new:>14} {report.closure_len:>12} {report.distinct_count:>15}")
-
-
-def _json_record(report: StepReport) -> dict:
-    return {
-        "n": report.n,
-        "max_pal": report.max_pal,
-        "min_unique_suff": report.min_unique_suff,
-        "new": _span_text(report),
-        "closure_len": report.closure_len,
-        "distinct_count": report.distinct_count,
-    }
+def _jsonl_line(report: StepReport) -> str:
+    """``json.dumps`` of the record, byte for byte, plus a newline."""
+    n, _, _, longest, unique, span, closure, distinct = report
+    new = "null" if span is None else f'"{span[0]}-{span[1]}"'
+    return (f'{{"n": {n}, "max_pal": {longest}, "min_unique_suff": {unique}, '
+            f'"new": {new}, "closure_len": {closure}, "distinct_count": {distinct}}}\n')
 
 
 class _ReadError(Exception):
     """Reading or decoding the input failed; writing the output did not."""
 
 
-def _chunks(read) -> Iterator:
+def _chunks(stream, out, decode=None) -> Iterator:
+    """The input as it arrives: at most one raw read per chunk, decoded by
+    ``decode`` (an incremental decoder's method) when given.
+
+    ``out`` is flushed right before each read, so the records for every
+    symbol already read are out before the process can block on input.
+    """
+    read1 = stream.read1
     while True:
+        out.flush()
         try:
-            chunk = read(65536)
+            data = read1(65536)
+            chunk = data if decode is None else decode(data, not data)
         except (OSError, UnicodeDecodeError) as exc:
             raise _ReadError(exc) from exc
-        if not chunk:
+        if not data:
             return
         yield chunk
 
 
-def _byte_symbols(stream) -> Iterator[int]:
-    for chunk in _chunks(stream.read):
+def _byte_symbols(stream, out) -> Iterator[int]:
+    for chunk in _chunks(stream, out):
         yield from chunk
 
 
-def _token_symbols(stream) -> Iterator[str]:
+def _token_symbols(stream, out) -> Iterator[str]:
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     tail = ""
-    for chunk in _chunks(io.TextIOWrapper(stream, encoding="utf-8").read):
+    for chunk in _chunks(stream, out, decode):
         chunk = tail + chunk
         parts = chunk.split()
         tail = parts.pop() if parts and not chunk[-1].isspace() else ""
@@ -108,9 +111,10 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
 
     Bytes are the symbols by default; --tokens switches to whitespace-
     separated tokens, which exercises large alphabets.  Output is flushed
-    per record, so prefixes of the input always yield prefixes of the
-    output.  A reader that closes the output early (``| head``) ends the
-    run normally.
+    before each read of more input, so the records for every symbol read
+    so far are out before the run waits for input, and prefixes of the
+    input always yield prefixes of the output.  A reader that closes the
+    output early (``| head``) ends the run normally.
     """
     if file is None or file == "-":
         stream = sys.stdin.buffer
@@ -124,19 +128,13 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
         close_stream = True
 
     out = sys.stdout
+    write = out.write
+    line = _table_line if fmt == "table" else _jsonl_line
     detector = PalindromeDetector()
-    header_written = False
     try:
-        symbols = _token_symbols(stream) if tokens else _byte_symbols(stream)
+        symbols = _token_symbols(stream, out) if tokens else _byte_symbols(stream, out)
         for report in detector.feed(symbols):
-            if fmt == "table":
-                if not header_written:
-                    out.write(_TABLE_HEADER + "\n")
-                    header_written = True
-                out.write(_table_row(report) + "\n")
-            else:
-                out.write(json.dumps(_json_record(report)) + "\n")
-            out.flush()
+            write(line(report))
     except BrokenPipeError:
         _discard_stdout()
     except _ReadError as exc:

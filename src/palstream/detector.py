@@ -10,17 +10,24 @@ where it first becomes a suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
 from .manacher import SENTINEL, OnlineManacher
 
 __all__ = ["StepReport", "DetectorSummary", "PalindromeDetector"]
 
+#: Builds a StepReport from a tuple of its fields, skipping the argument
+#: handling of ``StepReport.__new__``.
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class StepReport:
-    """Everything known about the stream right after one symbol."""
+
+class StepReport(NamedTuple):
+    """Everything known about the stream right after one symbol.
+
+    A named tuple: it unpacks in field order and compares equal to the plain
+    tuple of its fields.
+    """
 
     n: int  # symbols consumed so far
     max_pal_odd: int
@@ -82,8 +89,8 @@ class PalindromeDetector:
     def push(self, c) -> StepReport:
         """Consume one symbol and report the state of the extended stream.
 
-        All three substructures absorb the symbol before anything is queried.
-        If any of them raises, the exception propagates and the detector is
+        Each substructure absorbs the symbol and returns its new answer.  If
+        any of them raises, the exception propagates and the detector is
         marked failed: later pushes raise :class:`RuntimeError`.
         """
         if self._failure is not None:
@@ -91,31 +98,21 @@ class PalindromeDetector:
                                f"{self._failure!r}") from self._failure
         try:
             self._text.append(c)
-            self._odd.add_letter(c)
-            self._even.add_letter(c)
-            self._tree.add_letter(c)
+            odd = self._odd.add_letter(c)
+            even = self._even.add_letter(c)
+            unique = self._tree.add_letter(c)
             self._n = n = self._n + 1
-            odd = self._odd.max_pal()
-            even = self._even.max_pal()
             longest = odd if odd >= even else even
-            unique = self._tree.min_unique_suff()
+            distinct = self._distinct
             span = None
             if longest >= unique:
                 span = (n - longest + 1, n)
-                self._distinct += 1
+                self._distinct = distinct = distinct + 1
         except BaseException as exc:
             self._failure = exc
             raise
-        return StepReport(
-            n=n,
-            max_pal_odd=odd,
-            max_pal_even=even,
-            max_pal=longest,
-            min_unique_suff=unique,
-            new_palindrome=span,
-            closure_len=2 * n - longest,
-            distinct_count=self._distinct,
-        )
+        return _new_tuple(StepReport, (n, odd, even, longest, unique, span,
+                                       2 * n - longest, distinct))
 
     def feed(self, symbols: Iterable) -> Iterator[StepReport]:
         """Push every symbol in order, yielding one report per symbol."""

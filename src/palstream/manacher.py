@@ -61,8 +61,9 @@ class OnlineManacher:
         manacher._owns_text = False
         return manacher
 
-    def add_letter(self, c: object) -> None:
-        """Append one symbol and re-establish the suffix-palindrome center.
+    def add_letter(self, c: object) -> int:
+        """Append one symbol, re-establish the suffix-palindrome center and
+        return the new :meth:`max_pal`.
 
         The candidate center only moves rightward; each inner-loop pass either
         finishes the update or advances it, which is what keeps the total loop
@@ -90,6 +91,7 @@ class OnlineManacher:
         self._i = i
         self._n = n + 1
         self._loop_iters += iters
+        return 2 * rad[i] + 1 - delta
 
     def max_pal(self) -> int:
         """Length of the maximal tracked-parity palindromic suffix.
@@ -105,21 +107,3 @@ class OnlineManacher:
     def loop_iterations(self) -> int:
         """Total inner-loop passes since construction (monotone)."""
         return self._loop_iters
-
-    @property
-    def size(self) -> int:
-        """Number of input symbols consumed (sentinel excluded)."""
-        return self._n - 1
-
-    @property
-    def center(self) -> int:
-        """Text position of the current suffix-palindrome center candidate."""
-        return self._i
-
-    def radii(self) -> tuple[int, ...]:
-        """Radii for text positions 1..n (position 1 is the sentinel).
-
-        Entries at or right of :attr:`center` are work in progress; everything
-        left of it is final.
-        """
-        return tuple(self._rad[1:self._n + 1])

@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
 import os
+import random
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import palstream
+from palstream import PalindromeDetector
 from palstream.cli import main
 
 REFERENCE_WORD = "abadaadcaa"
@@ -72,6 +77,58 @@ def table_records(text):
             "distinct_count": int(count),
         })
     return records
+
+
+class OneByteReads(io.BytesIO):
+    """An input stream whose every ``read1`` returns at most one byte, as a
+    pipe can when the writer is slow."""
+
+    def read1(self, size=-1):
+        return super().read1(1)
+
+
+def dumps_records(symbols):
+    """`run --format jsonl` output as ``json.dumps`` writes each record."""
+    lines = []
+    for r in PalindromeDetector().feed(symbols):
+        new = None if r.new_palindrome is None else "%d-%d" % r.new_palindrome
+        lines.append(json.dumps({
+            "n": r.n, "max_pal": r.max_pal, "min_unique_suff": r.min_unique_suff,
+            "new": new, "closure_len": r.closure_len,
+            "distinct_count": r.distinct_count}) + "\n")
+    return "".join(lines)
+
+
+def records_before_eof(args, data, want, timeout=10.0):
+    """Start `palstream run ARGS`, write ``data`` to its stdin and keep stdin
+    open; return the lines that arrive before ``want`` of them or the
+    timeout, whichever comes first."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "palstream.cli", "run", *args],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        env=cli_env())
+    try:
+        proc.stdin.write(data)
+        proc.stdin.flush()
+        fd = proc.stdout.fileno()
+        received = b""
+        deadline = time.monotonic() + timeout
+        while received.count(b"\n") < want:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                break
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                break
+            received += chunk
+        proc.stdin.close()
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    return received.splitlines()
 
 
 class TestRun:
@@ -178,6 +235,47 @@ class TestRun:
         assert result.exit_code == 1
         assert "failed reading input" in result.stderr
 
+    @pytest.mark.parametrize("stream", [bytes, OneByteReads])
+    def test_truncated_utf8_at_eof_is_an_input_error(self, runner, stream):
+        result = runner.invoke(main, ["run", "--tokens"], input=stream(b"ok \xc3"))
+        assert result.exit_code == 1
+        assert "failed reading input" in result.stderr
+
+    def test_records_arrive_before_stdin_closes(self):
+        lines = records_before_eof(["--format", "jsonl"], b"aba", 3)
+        assert [json.loads(line)["n"] for line in lines] == [1, 2, 3]
+
+    def test_token_records_arrive_before_stdin_closes(self):
+        lines = records_before_eof(["--format", "jsonl", "--tokens"], b"foo bar \n", 2)
+        assert [json.loads(line)["n"] for line in lines] == [1, 2]
+
+    @pytest.mark.parametrize("data", ["h\u00e9llo w\u00f6rld  h\u00e9llo\n\u00e9 x \u00e9",
+                                      "\u20ac\U0001f600 \u20ac"])
+    def test_tokens_split_across_reads(self, runner, data):
+        data = data.encode()
+        one_shot = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"], input=data)
+        by_byte = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"],
+                                input=OneByteReads(data))
+        assert one_shot.exit_code == by_byte.exit_code == 0
+        assert len(jsonl_records(one_shot.stdout)) == len(data.decode().split())
+        assert by_byte.stdout == one_shot.stdout
+
+    def test_bytes_split_across_reads(self, runner):
+        result = runner.invoke(main, ["run", "--format", "jsonl"],
+                               input=OneByteReads(REFERENCE_WORD.encode()))
+        assert result.exit_code == 0
+        assert jsonl_records(result.stdout) == EXPECTED_RECORDS
+
+    def test_jsonl_bytes_equal_json_dumps(self, runner):
+        data = random.Random(5).randbytes(500)
+        for symbols in (REFERENCE_WORD.encode(), data):
+            result = runner.invoke(main, ["run", "--format", "jsonl"], input=symbols)
+            assert result.exit_code == 0
+            assert result.stdout_bytes == dumps_records(symbols).encode()
+        # both forms of "new" were pinned
+        assert b'"new": null' in result.stdout_bytes
+        assert b'"new": "' in result.stdout_bytes
+
 
 class TestBench:
     def test_small_run_emits_json_per_size(self, runner):
@@ -278,3 +376,11 @@ class TestSelftest:
         result = runner.invoke(main, ["selftest"])
         assert result.exit_code == 2
         assert "FAIL" in result.output
+
+    def test_passes_without_asserts(self):
+        # `python -O` strips assert statements; no check may depend on one
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "palstream.cli", "selftest"],
+            capture_output=True, env=cli_env(), timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert b"FAIL" not in proc.stdout

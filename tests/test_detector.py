@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palstream import ChildStorageMode, PalindromeDetector
+from palstream import ChildStorageMode, PalindromeDetector, StepReport
 from palstream import oracle
 from palstream.selftest import oracle_failures
 
@@ -106,6 +106,28 @@ class TestSmallCases:
         assert r.max_pal == 1
         assert r.new_palindrome == (1, 1)
         assert r.closure_len == 1
+
+
+class TestStepReport:
+    def test_fields_in_order(self):
+        assert StepReport._fields == (
+            "n", "max_pal_odd", "max_pal_even", "max_pal", "min_unique_suff",
+            "new_palindrome", "closure_len", "distinct_count")
+
+    def test_fields_are_read_only(self):
+        report = PalindromeDetector().push("a")
+        for field in StepReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, field, 0)
+
+    def test_is_a_plain_tuple_of_its_fields(self):
+        _, reports = run("aba")
+        assert reports[2] == (3, 3, 0, 3, 2, (1, 3), 3, 3)
+        n, *_, distinct = reports[2]
+        assert (n, distinct) == (3, 3)
+        assert reports[2] == StepReport(n=3, max_pal_odd=3, max_pal_even=0, max_pal=3,
+                                        min_unique_suff=2, new_palindrome=(1, 3),
+                                        closure_len=3, distinct_count=3)
 
 
 class TestOracleEquivalence:

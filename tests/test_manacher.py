@@ -28,6 +28,12 @@ def feed(delta, w):
     return m, values
 
 
+def radii_of(m):
+    """Radii at text positions 1..n (position 1 is the sentinel).  Entries at
+    or right of the center ``m._i`` are work in progress; the rest are final."""
+    return tuple(m._rad[1:m._n + 1])
+
+
 def all_strings(alphabet, max_len):
     for length in range(1, max_len + 1):
         for letters in product(alphabet, repeat=length):
@@ -47,9 +53,9 @@ class TestConstruction:
         # one sentinel consumed, center candidate parked one past the end
         for delta in (0, 1):
             m = OnlineManacher(delta)
-            assert m.size == 0
-            assert m.center == 2
-            assert m.radii() == (0,)
+            assert m._n - 1 == 0  # input symbols; the sentinel is not one
+            assert m._i == 2
+            assert radii_of(m) == (0,)
 
     def test_bad_parity_rejected(self):
         with pytest.raises(ValueError):
@@ -73,8 +79,8 @@ class TestReferenceWord:
     def test_final_radii(self):
         m_odd, _ = feed(0, REFERENCE_WORD)
         m_even, _ = feed(1, REFERENCE_WORD)
-        assert m_odd.radii()[1:] == EXPECTED_RADII_ODD
-        assert m_even.radii()[1:] == EXPECTED_RADII_EVEN
+        assert radii_of(m_odd)[1:] == EXPECTED_RADII_ODD
+        assert radii_of(m_even)[1:] == EXPECTED_RADII_EVEN
 
 
 class TestSmallCases:
@@ -140,8 +146,8 @@ class TestOracleEquivalence:
         for w in all_strings("ab", 9):
             for delta in (0, 1):
                 m, _ = feed(delta, w)
-                radii = (0,) + m.radii()  # re-pad to text positions
-                for pos in range(2, m.center):
+                radii = (0,) + radii_of(m)  # re-pad to text positions
+                for pos in range(2, m._i):
                     assert radii[pos] == brute_radius(w, pos - 1, delta), \
                         (w, delta, pos)
 
@@ -162,6 +168,13 @@ class TestAmortizedBound:
             m1, _ = feed(1, w)
             assert m0.loop_iterations + m1.loop_iterations <= 4 * len(w)
 
+    def test_add_letter_returns_max_pal(self):
+        for w in all_strings("ab", 8):
+            for delta in (0, 1):
+                m = OnlineManacher(delta)
+                for c in w:
+                    assert m.add_letter(c) == m.max_pal(), (w, delta)
+
     def test_counter_is_monotone(self):
         m = OnlineManacher(0)
         last = 0
@@ -179,10 +192,10 @@ class TestMirrorSymmetry:
         for w in all_strings("ab", 10):
             for delta in (0, 1):
                 m, _ = feed(delta, w)
-                radii = (0,) + m.radii()
-                for c in range(2, m.center):
+                radii = (0,) + radii_of(m)
+                for c in range(2, m._i):
                     for k in range(1, radii[c] + 1):
-                        if c + k >= m.center or c - k < 1:
+                        if c + k >= m._i or c - k < 1:
                             continue
                         left, here = radii[c - k], radii[c]
                         if left < here - k:
@@ -198,8 +211,8 @@ class TestDeterminism:
         a, va = feed(0, w)
         b, vb = feed(0, w)
         assert va == vb
-        assert a.radii() == b.radii()
-        assert a.center == b.center
+        assert radii_of(a) == radii_of(b)
+        assert a._i == b._i
         assert a.loop_iterations == b.loop_iterations
 
     def test_center_stays_in_range(self):
@@ -208,7 +221,7 @@ class TestDeterminism:
         m = OnlineManacher(0)
         for k, c in enumerate(w, 1):
             m.add_letter(c)
-            assert 2 <= m.center <= k + 2  # text length is k + 1
+            assert 2 <= m._i <= k + 2  # text length is k + 1
 
     def test_arbitrary_symbols(self):
         # the suffix 42, ("tok",), 42 is an odd palindrome of length 3

@@ -164,6 +164,14 @@ class TestMinUniqueSuffix:
                     for k in range(1, len(symbols) + 1)]
         assert values == expected
 
+    def test_add_letter_returns_min_unique_suff(self):
+        # covers clones from chain states and from clones, in both modes
+        for mode in ChildStorageMode:
+            for w in all_strings("abc", 7):
+                automaton = OnlineSuffixAutomaton(mode)
+                for c in w:
+                    assert automaton.add_letter(c) == automaton.min_unique_suff(), (w, mode)
+
 
 class TestStructure:
     def test_layout_golden(self):
