@@ -58,20 +58,23 @@ class OnlineSuffixAutomaton:
       the last state that has such a list, so a text whose every transition
       is a chain edge (``aaaa...``) stores none.
 
-    The text is a list in the layout ``[None, SENTINEL, s1, s2, ...]``, which
-    :class:`~palstream.manacher.OnlineManacher` shares.
+    The automaton owns its text, ``[None, SENTINEL, s1, s2, ...]``:
+    :meth:`add_letter` appends each symbol, and the detector's two
+    :class:`~palstream.manacher.OnlineManacher` trackers read the same list.
+    ``add_letter`` rejects :data:`~palstream.manacher.SENTINEL`; once it has
+    raised otherwise (say, on symbols that do not compare), every later call
+    raises :class:`RuntimeError` chained to that failure.
 
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
 
-    __slots__ = ("mode", "_ordered", "_text", "_owns_text", "_link", "_out",
-                 "_clone_len", "_clone_link", "_clone_out", "_hops", "_probes")
+    __slots__ = ("mode", "_ordered", "_text", "_link", "_out", "_clone_len",
+                 "_clone_link", "_clone_out", "_hops", "_probes", "_failure")
 
     def __init__(self, mode: ChildStorageMode | str = ChildStorageMode.ORDERED) -> None:
         self.mode = ChildStorageMode(mode)
         self._ordered = self.mode is ChildStorageMode.ORDERED
         self._text: list = [None, SENTINEL]
-        self._owns_text = True
         self._link = array("q", [-1])
         self._out: list = [None]
         # slot 0 is unused, so that no clone is ~0 == -1
@@ -80,15 +83,7 @@ class OnlineSuffixAutomaton:
         self._clone_out: list = [None]
         self._hops = 0
         self._probes = 0
-
-    @classmethod
-    def _over(cls, text: list, mode: ChildStorageMode | str) -> OnlineSuffixAutomaton:
-        """An automaton reading ``text``, a buffer in the layout above whose
-        owner appends each symbol before calling :meth:`add_letter`."""
-        automaton = cls(mode)
-        automaton._text = text
-        automaton._owns_text = False
-        return automaton
+        self._failure: BaseException | None = None
 
     # -- transitions ---------------------------------------------------------
 
@@ -135,53 +130,61 @@ class OnlineSuffixAutomaton:
         first state that has one decides the new state's suffix link, after
         cloning its target when that transition is not solid.
         """
+        if self._failure is not None:
+            raise RuntimeError("automaton unusable: an earlier add_letter failed "
+                               f"with {self._failure!r}") from self._failure
+        if c is SENTINEL:
+            raise ValueError("SENTINEL is reserved and cannot be added as input")
         text = self._text
-        if self._owns_text:
-            text.append(c)
-        cur = len(text) - 2  # the new state, and its length
-        link, out = self._link, self._out
-        probes = hops = 0
-        p = link[cur - 1]  # cur - 1 reaches cur by its chain edge
-        while p != -1:
-            if p >= 0:
-                probes += 1
-                if text[p + 2] == c:
-                    q = p + 1
+        text.append(c)
+        try:
+            cur = len(text) - 2  # the new state, and its length
+            link, out = self._link, self._out
+            probes = hops = 0
+            p = link[cur - 1]  # cur - 1 reaches cur by its chain edge
+            while p != -1:
+                if p >= 0:
+                    probes += 1
+                    if text[p + 2] == c:
+                        q = p + 1
+                        break
+                    try:
+                        edges = out[p]
+                    except IndexError:  # _out grows only as far as it is used
+                        out.extend([None] * (p + 1 - len(out)))
+                        edges = None
+                    if edges is None:
+                        out[p] = [c, cur]
+                        hops += 1
+                        p = link[p]
+                        continue
+                else:
+                    edges = self._clone_out[~p]
+                i = self._slot(edges, c)
+                m = len(edges) >> 1
+                if i < m and edges[i] == c:
+                    q = edges[m + i]
                     break
-                try:
-                    edges = out[p]
-                except IndexError:  # _out grows only as far as it is used
-                    out.extend([None] * (p + 1 - len(out)))
-                    edges = None
-                if edges is None:
-                    out[p] = [c, cur]
-                    hops += 1
-                    p = link[p]
-                    continue
+                edges.insert(m + i, cur)
+                edges.insert(i, c)
+                hops += 1
+                p = link[p] if p >= 0 else self._clone_link[~p]
+            self._probes += probes
+            self._hops += hops
+            if p == -1:  # c is new: only the empty suffix occurs earlier
+                link.append(0)
+                return 1
+            clone_len = self._clone_len
+            len_p = p if p >= 0 else clone_len[~p]
+            # the new state's link has length len_p + 1, whether q or a clone
+            if len_p + 1 == (q if q >= 0 else clone_len[~q]):
+                link.append(q)
             else:
-                edges = self._clone_out[~p]
-            i = self._slot(edges, c)
-            m = len(edges) >> 1
-            if i < m and edges[i] == c:
-                q = edges[m + i]
-                break
-            edges.insert(m + i, cur)
-            edges.insert(i, c)
-            hops += 1
-            p = link[p] if p >= 0 else self._clone_link[~p]
-        self._probes += probes
-        self._hops += hops
-        if p == -1:  # c is new: only the empty suffix occurs earlier
-            link.append(0)
-            return 1
-        clone_len = self._clone_len
-        len_p = p if p >= 0 else clone_len[~p]
-        # the new state's link has length len_p + 1, whether q or a clone
-        if len_p + 1 == (q if q >= 0 else clone_len[~q]):
-            link.append(q)
-        else:
-            link.append(self._clone(p, q, c, len_p + 1))
-        return len_p + 2
+                link.append(self._clone(p, q, c, len_p + 1))
+            return len_p + 2
+        except BaseException as exc:
+            self._failure = exc
+            raise
 
     def _clone(self, p: int, q: int, c, length: int) -> int:
         """Split ``q`` for the new symbol ``c``: a clone of length ``length``

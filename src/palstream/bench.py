@@ -31,7 +31,7 @@ class BenchConfig:
     generator: str
     sigma: int = 2
     sizes: tuple[int, ...] = (1000,)
-    mode: ChildStorageMode = ChildStorageMode.ORDERED
+    mode: ChildStorageMode | str = ChildStorageMode.ORDERED
     repetitions: int = 1
     seed: int = 0
 
@@ -55,13 +55,16 @@ class BenchConfig:
 
 @dataclass
 class BenchMeasurement:
-    """Aggregated result for one (generator, size, mode) configuration."""
+    """Aggregated result for one (generator, size, mode) configuration.
 
-    generator: str
+    The fields are the keys of the benchmark's JSON record, in its order.
+    """
+
+    gen: str
     sigma: int
     n: int
     mode: str
-    repetitions: int
+    reps: int
     seed: int
     wall_best: float
     wall_mean: float
@@ -72,25 +75,6 @@ class BenchMeasurement:
     child_probes: int
     suffix_link_hops: int
     distinct_count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "gen": self.generator,
-            "sigma": self.sigma,
-            "n": self.n,
-            "mode": self.mode,
-            "reps": self.repetitions,
-            "seed": self.seed,
-            "wall_best": self.wall_best,
-            "wall_mean": self.wall_mean,
-            "symbols_per_sec": self.symbols_per_sec,
-            "manacher_loop_iters": self.manacher_loop_iters,
-            "manacher_loop_bound": self.manacher_loop_bound,
-            "nodes": self.nodes,
-            "child_probes": self.child_probes,
-            "suffix_link_hops": self.suffix_link_hops,
-            "distinct_count": self.distinct_count,
-        }
 
 
 def make_input(generator: str, sigma: int, n: int, seed: int):
@@ -130,11 +114,13 @@ def run_one(symbols, mode: ChildStorageMode) -> tuple[float, DetectorSummary]:
 def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
     """Run one configuration per size, aggregating repetitions.
 
-    Each repetition derives its own input seed.  The loop totals of every
-    repetition are checked against the 4n bound on the spot; a violation is
-    an engine bug, not a measurement artifact, and raises.
+    Each repetition derives its own input seed.  The totals of every
+    repetition are checked against the 4n loop and 2n state bounds on the
+    spot; a violation is an engine bug, not a measurement artifact, and
+    raises.
     """
     cfg.validate()
+    mode = ChildStorageMode(cfg.mode)
     sizes = cfg.sizes
     if cfg.generator == "paper_example":
         sizes = (len(REFERENCE_WORD),)
@@ -145,22 +131,22 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
         for rep in range(cfg.repetitions):
             symbols = make_input(cfg.generator, cfg.sigma, n,
                                  cfg.seed * 1_000_003 + rep)
-            elapsed, summary = run_one(symbols, cfg.mode)
-            if summary.manacher_loop_total > 4 * n:
-                raise RuntimeError(
-                    f"loop bound violated: {summary.manacher_loop_total} > {4 * n} "
-                    f"(gen={cfg.generator}, n={n}, rep={rep})")
+            elapsed, summary = run_one(symbols, mode)
+            problems = summary.bound_problems()
+            if problems:
+                raise RuntimeError(f"bound violated: {problems[0]} "
+                                   f"(gen={cfg.generator}, n={n}, rep={rep})")
             times.append(elapsed)
             summaries.append(summary)
         best = min(times)
         first_summary = summaries[0]  # validate() guarantees a repetition
         counters = first_summary.tree
         results.append(BenchMeasurement(
-            generator=cfg.generator,
+            gen=cfg.generator,
             sigma=cfg.sigma,
             n=n,
-            mode=cfg.mode.value,
-            repetitions=cfg.repetitions,
+            mode=mode.value,
+            reps=cfg.repetitions,
             seed=cfg.seed,
             wall_best=best,
             wall_mean=sum(times) / len(times),

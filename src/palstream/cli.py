@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 input/configuration error, 2 self-test failure.
 from __future__ import annotations
 
 import codecs
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -14,7 +16,6 @@ from typing import Iterator
 import click
 
 from . import selftest as selftest_module
-from .automaton import ChildStorageMode
 from .bench import GENERATORS, BenchConfig, BenchMeasurement, run_config
 from .detector import PalindromeDetector, StepReport
 
@@ -72,11 +73,6 @@ def _chunks(stream, out, decode=None) -> Iterator:
         yield chunk
 
 
-def _byte_symbols(stream, out) -> Iterator[int]:
-    for chunk in _chunks(stream, out):
-        yield from chunk
-
-
 def _token_symbols(stream, out) -> Iterator[str]:
     decode = codecs.getincrementaldecoder("utf-8")().decode
     tail = ""
@@ -132,7 +128,8 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     line = _table_line if fmt == "table" else _jsonl_line
     detector = PalindromeDetector()
     try:
-        symbols = _token_symbols(stream, out) if tokens else _byte_symbols(stream, out)
+        symbols = (_token_symbols(stream, out) if tokens
+                   else itertools.chain.from_iterable(_chunks(stream, out)))
         for report in detector.feed(symbols):
             write(line(report))
     except BrokenPipeError:
@@ -157,7 +154,7 @@ def _bench_table(results: list[BenchMeasurement]) -> str:
     lines = [header]
     for m in results:
         lines.append(
-            f"{m.generator:>13} {m.sigma:>6} {m.n:>9} {m.mode:>9} "
+            f"{m.gen:>13} {m.sigma:>6} {m.n:>9} {m.mode:>9} "
             f"{m.wall_best:>9.4f} {m.symbols_per_sec:>12.0f} "
             f"{m.manacher_loop_iters:>6}/{m.manacher_loop_bound:<5} "
             f"{m.nodes:>9} {m.child_probes:>12}")
@@ -183,8 +180,8 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
     """Measure wall time and structural counters over generated inputs.
 
     Emits one JSON object per configuration on stdout and a human-readable
-    table on stderr.  Loop totals are checked against the 4n bound on every
-    run.
+    table on stderr.  Every run is checked against the 4n loop and 2n state
+    bounds.
     """
     try:
         size_list = tuple(int(part) for part in sizes.split(",") if part.strip())
@@ -192,14 +189,14 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
         click.echo("error: --sizes must be comma-separated integers", err=True)
         sys.exit(1)
     cfg = BenchConfig(generator=generator, sigma=sigma, sizes=size_list,
-                      mode=ChildStorageMode(mode), repetitions=reps, seed=seed)
+                      mode=mode, repetitions=reps, seed=seed)
     try:
         results = run_config(cfg)
     except (ValueError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     for measurement in results:
-        click.echo(json.dumps(measurement.as_dict()))
+        click.echo(json.dumps(dataclasses.asdict(measurement)))
     click.echo(_bench_table(results), err=True)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
-from .manacher import SENTINEL, OnlineManacher
+from .manacher import OnlineManacher
 
 __all__ = ["StepReport", "DetectorSummary", "PalindromeDetector"]
 
@@ -53,23 +53,34 @@ class DetectorSummary:
     def manacher_loop_total(self) -> int:
         return self.manacher_loop_odd + self.manacher_loop_even
 
+    def bound_problems(self) -> list[str]:
+        """The linear bounds these totals break, one message each: at most 4n
+        Manacher loop passes, and at most 2n automaton states once n > 0."""
+        n = self.n
+        problems = []
+        if self.manacher_loop_total > 4 * n:
+            problems.append(f"manacher loop total {self.manacher_loop_total} > 4n = {4 * n}")
+        if n and self.tree.nodes > 2 * n:
+            problems.append(f"{self.tree.nodes} automaton states > 2n = {2 * n}")
+        return problems
+
 
 class PalindromeDetector:
     """Streams symbols through the palindrome trackers and the suffix automaton.
 
     Symbols may be any hashable, equality-comparable objects; ordered
-    child-storage mode additionally needs them totally ordered.  The three
-    structures read one symbol buffer that the detector appends to.
-    Independent detectors share no state; a single detector is single-writer.
-    A push that raises leaves the structures inconsistent, so every later
-    push raises too.
+    child-storage mode additionally needs them totally ordered.  The
+    automaton owns the one symbol buffer and appends each symbol to it; both
+    palindrome trackers read that buffer.  Independent detectors share no
+    state; a single detector is single-writer.  A push that raises leaves
+    the structures inconsistent, so every later push raises too.
     """
 
     def __init__(self, mode: ChildStorageMode | str = ChildStorageMode.ORDERED) -> None:
-        self._text: list = [None, SENTINEL]
+        self._tree = OnlineSuffixAutomaton(mode)
+        self._text = self._tree._text
         self._odd = OnlineManacher._over(self._text, 0)
         self._even = OnlineManacher._over(self._text, 1)
-        self._tree = OnlineSuffixAutomaton._over(self._text, mode)
         self._n = 0
         self._distinct = 0
         self._failure: BaseException | None = None
@@ -89,18 +100,18 @@ class PalindromeDetector:
     def push(self, c) -> StepReport:
         """Consume one symbol and report the state of the extended stream.
 
-        Each substructure absorbs the symbol and returns its new answer.  If
-        any of them raises, the exception propagates and the detector is
-        marked failed: later pushes raise :class:`RuntimeError`.
+        Each substructure absorbs the symbol and returns its new answer.  The
+        automaton goes first: it rejects SENTINEL and appends the symbol that
+        the trackers read.  If any of them raises, the exception propagates
+        and the detector is marked failed: later pushes raise RuntimeError.
         """
         if self._failure is not None:
             raise RuntimeError("detector unusable: an earlier push failed with "
                                f"{self._failure!r}") from self._failure
         try:
-            self._text.append(c)
+            unique = self._tree.add_letter(c)
             odd = self._odd.add_letter(c)
             even = self._even.add_letter(c)
-            unique = self._tree.add_letter(c)
             self._n = n = self._n + 1
             longest = odd if odd >= even else even
             distinct = self._distinct

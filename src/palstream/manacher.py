@@ -20,7 +20,8 @@ class _Sentinel:
 
 
 #: Reserved boundary symbol stored at position 1 of the internal text.
-#: Never valid as input to :meth:`OnlineManacher.add_letter`.
+#: Never valid as input: ``add_letter`` of a standalone structure and
+#: :meth:`~palstream.detector.PalindromeDetector.push` reject it.
 SENTINEL = _Sentinel()
 
 
@@ -36,10 +37,15 @@ class OnlineManacher:
     ``text[j-r+1 .. j+r]``.  For every center left of the current center
     ``rad`` holds the final maximal radius of that parity.
 
+    A tracker built by the constructor owns its text: it rejects
+    :data:`SENTINEL`, and once :meth:`add_letter` has raised (say, in a
+    symbol's ``__eq__``) every later call raises :class:`RuntimeError`.
+
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
 
-    __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_n", "_loop_iters")
+    __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_n", "_loop_iters",
+                 "_failure")
 
     def __init__(self, delta: int) -> None:
         if delta not in (0, 1):
@@ -51,11 +57,13 @@ class OnlineManacher:
         self._n = 1
         self._i = 2  # makes the first add_letter skip the loop cleanly
         self._loop_iters = 0
+        self._failure: BaseException | None = None
 
     @classmethod
     def _over(cls, text: list, delta: int) -> OnlineManacher:
         """A tracker reading ``text``, a buffer in the internal layout above
-        whose owner appends each symbol before calling :meth:`add_letter`."""
+        whose owner appends each symbol before calling :meth:`add_letter`.
+        The owner also rejects :data:`SENTINEL` and stops after a failure."""
         manacher = cls(delta)
         manacher._text = text
         manacher._owns_text = False
@@ -69,25 +77,32 @@ class OnlineManacher:
         finishes the update or advances it, which is what keeps the total loop
         work over any n symbols bounded by a small multiple of n.
         """
-        if c is SENTINEL:
-            raise ValueError("SENTINEL is reserved and cannot be added as input")
         text, rad, delta = self._text, self._rad, self.delta
         n, i = self._n, self._i
         s = i - rad[i] + delta  # start of the maximal suffix-palindrome so far
         if self._owns_text:
+            if self._failure is not None:
+                raise RuntimeError("tracker unusable: an earlier add_letter failed "
+                                   f"with {self._failure!r}") from self._failure
+            if c is SENTINEL:
+                raise ValueError("SENTINEL is reserved and cannot be added as input")
             text.append(c)  # text[n + 1] = c
         rad.append(0)  # keeps index n + 2 valid for the next call
         iters = 0
-        while i + rad[i] <= n:
-            iters += 1
-            r = rad[s + n - i - delta]  # mirrored center inside the suffix-palindrome
-            if r > n - i:
-                r = n - i
-            rad[i] = r
-            if i + r == n and text[i - r - 1 + delta] == c:
-                rad[i] = r + 1  # the suffix-palindrome extends over c
-                break
-            i += 1
+        try:
+            while i + rad[i] <= n:
+                iters += 1
+                r = rad[s + n - i - delta]  # mirrored center inside the suffix-palindrome
+                if r > n - i:
+                    r = n - i
+                rad[i] = r
+                if i + r == n and text[i - r - 1 + delta] == c:
+                    rad[i] = r + 1  # the suffix-palindrome extends over c
+                    break
+                i += 1
+        except BaseException as exc:
+            self._failure = exc
+            raise
         self._i = i
         self._n = n + 1
         self._loop_iters += iters

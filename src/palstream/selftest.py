@@ -52,10 +52,7 @@ def golden_example_failures(
     return problems
 
 
-def oracle_failures(
-    w: Sequence,
-    mode: ChildStorageMode | str = ChildStorageMode.ORDERED,
-) -> list[str]:
+def oracle_failures(w: Sequence) -> list[str]:
     """Compare every per-step field of the detector against the brute-force
     oracles on one input, plus the end-of-run counter bounds.
 
@@ -70,7 +67,7 @@ def oracle_failures(
             problems.append(f"{w!r}: two palindromes first ending at {span[1]}")
         first_end[span[1]] = span
 
-    det = PalindromeDetector(mode)
+    det = PalindromeDetector()
     count = 0
     for k in range(1, len(w) + 1):
         report = det.push(w[k - 1])
@@ -98,33 +95,21 @@ def oracle_failures(
         if report.distinct_count > k:
             problems.append(f"{w!r} step {k}: distinct_count exceeds prefix length")
 
-    summary = det.finish()
-    n = len(w)
-    if summary.manacher_loop_total > 4 * n:
-        problems.append(
-            f"{w!r}: manacher loop total {summary.manacher_loop_total} > 4n = {4 * n}")
-    if n and summary.tree.nodes > 2 * n:
-        problems.append(f"{w!r}: {summary.tree.nodes} automaton states > 2n = {2 * n}")
+    problems.extend(f"{w!r}: {p}" for p in det.finish().bound_problems())
     return problems
 
 
-def exhaustive_sweep(
-    alphabet: str = "ab",
-    max_len: int = 12,
-    mode: ChildStorageMode | str = ChildStorageMode.ORDERED,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[str, list[str]] | None:
+def exhaustive_sweep(alphabet: str = "ab",
+                     max_len: int = 12) -> tuple[str, list[str]] | None:
     """Check every string over ``alphabet`` up to ``max_len`` symbols.
 
     Stops at the first failing string, returning it with its mismatch list;
     None means the whole sweep passed.
     """
     for length in range(1, max_len + 1):
-        if progress is not None:
-            progress(f"  sweeping length {length} over {alphabet!r} ...")
         for letters in product(alphabet, repeat=length):
             w = "".join(letters)
-            problems = oracle_failures(w, mode)
+            problems = oracle_failures(w)
             if problems:
                 return w, problems
     return None

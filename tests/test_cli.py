@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import palstream
 from palstream import PalindromeDetector
+from palstream.bench import BenchConfig, run_config
 from palstream.cli import main
 
 REFERENCE_WORD = "abadaadcaa"
@@ -290,6 +291,19 @@ class TestBench:
             assert record["nodes"] <= 2 * record["n"]
             assert record["child_probes"] > 0
             assert record["mode"] == "ordered"
+
+    def test_json_keys_in_order(self, runner):
+        result = runner.invoke(main, ["bench", "--gen", "paper_example"])
+        assert result.exit_code == 0
+        assert list(json.loads(result.stdout.splitlines()[0])) == [
+            "gen", "sigma", "n", "mode", "reps", "seed", "wall_best", "wall_mean",
+            "symbols_per_sec", "manacher_loop_iters", "manacher_loop_bound",
+            "nodes", "child_probes", "suffix_link_hops", "distinct_count"]
+
+    def test_mode_given_as_string(self):
+        [measurement] = run_config(
+            BenchConfig("random", sigma=4, sizes=(100,), mode="unordered"))
+        assert measurement.mode == "unordered"
 
     def test_seed_reproducibility(self, runner):
         args = ["bench", "--gen", "random", "--sigma", "8", "--sizes", "300",

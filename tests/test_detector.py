@@ -2,12 +2,14 @@
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palstream import ChildStorageMode, PalindromeDetector, StepReport
+from palstream import (SENTINEL, ChildStorageMode, DetectorSummary, PalindromeDetector,
+                       PerfCounters, StepReport)
 from palstream import oracle
 from palstream.selftest import oracle_failures
 
@@ -89,6 +91,13 @@ class TestSmallCases:
         summary = det.finish()
         assert summary.n == 2
         assert summary.distinct_count == 2
+
+    def test_sentinel_input_rejected(self):
+        det = PalindromeDetector()
+        det.push("a")
+        with pytest.raises(ValueError):
+            det.push(SENTINEL)
+        assert det._text[2:] == ["a"]
 
     def test_structures_share_one_symbol_buffer(self):
         det = PalindromeDetector()
@@ -234,3 +243,38 @@ class TestModesAndDeterminism:
         _, first = run(w)
         _, second = run(w)
         assert first == second
+
+
+class TestBoundProblems:
+    def test_broken_bounds_are_named(self):
+        n = 10
+        summary = DetectorSummary(
+            n=n, distinct_count=0, manacher_loop_odd=4 * n + 1, manacher_loop_even=0,
+            tree=PerfCounters(nodes=2 * n + 1, suffix_link_hops=0, child_probes=0))
+        problems = summary.bound_problems()
+        assert len(problems) == 2
+        assert "4n = 40" in problems[0]
+        assert "2n = 20" in problems[1]
+
+    def test_real_runs_hold_both_bounds(self):
+        for w in ("", REFERENCE_WORD, "a" * 300, "ab" * 150):
+            det, _ = run(w)
+            assert det.finish().bound_problems() == [], w
+
+
+class TestTracingHooks:
+    """The benchmark's traced run wraps the detector's structures by
+    attribute name; these are the names and methods it relies on."""
+
+    def test_traced_detector_reports_and_spans(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from tracing import Tracer, trace_detector
+
+        _, untraced = run(REFERENCE_WORD)
+        tracer = Tracer()
+        push = trace_detector(PalindromeDetector(), tracer)
+        assert [push(c) for c in REFERENCE_WORD] == untraced
+        counts = {name: row[0] for name, row in tracer.totals().items()}
+        for name in ("detector.push", "manacher.odd.add_letter",
+                     "manacher.even.add_letter", "ukkonen.add_letter"):
+            assert counts[name] == len(REFERENCE_WORD), name

@@ -66,6 +66,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.add_letter(SENTINEL)
 
+    def test_failed_add_letter_stops_the_tracker(self):
+        class Uncomparable:
+            def __eq__(self, other):
+                raise ArithmeticError("cannot compare")
+
+            __hash__ = object.__hash__
+
+        for delta in (0, 1):
+            m, _ = feed(delta, "abc")
+            with pytest.raises(ArithmeticError):
+                m.add_letter(Uncomparable())
+            with pytest.raises(RuntimeError, match="ArithmeticError") as info:
+                m.add_letter("a")
+            assert isinstance(info.value.__cause__, ArithmeticError)
+
 
 class TestReferenceWord:
     def test_odd_sequence(self):

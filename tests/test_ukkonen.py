@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palstream import ChildStorageMode, OnlineSuffixAutomaton
+from palstream import SENTINEL, ChildStorageMode, OnlineSuffixAutomaton
 from palstream.oracle import naive_min_unique_suffix
 
 REFERENCE_WORD = "abadaadcaa"
@@ -119,6 +119,24 @@ class TestConstruction:
     def test_mode_accepts_plain_strings(self):
         automaton = OnlineSuffixAutomaton("unordered")
         assert automaton.mode is ChildStorageMode.UNORDERED
+
+    def test_sentinel_input_rejected(self):
+        automaton = OnlineSuffixAutomaton()
+        automaton.add_letter("a")
+        with pytest.raises(ValueError):
+            automaton.add_letter(SENTINEL)
+        assert text_of(automaton) == ["a"]
+        assert automaton.add_letter("a") == 2
+
+    def test_failed_add_letter_stops_the_automaton(self):
+        # ordered mode bisects the root's explicit symbols: "b" there makes
+        # the int 1 incomparable halfway through the update
+        automaton, _ = build("ab")
+        with pytest.raises(TypeError):
+            automaton.add_letter(1)
+        with pytest.raises(RuntimeError, match="TypeError") as info:
+            automaton.add_letter("a")
+        assert isinstance(info.value.__cause__, TypeError)
 
 
 class TestMinUniqueSuffix:
