@@ -8,12 +8,11 @@ in the alphabet size per symbol (linear for alphabets with equality only).
 
 from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
 from .detector import DetectorSummary, PalindromeDetector, StepReport
-from .manacher import SENTINEL, OnlineManacher
+from .manacher import OnlineManacher
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SENTINEL",
     "OnlineManacher",
     "ChildStorageMode",
     "OnlineSuffixAutomaton",

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .manacher import SENTINEL
+from .manacher import _new_text
 
 __all__ = ["ChildStorageMode", "PerfCounters", "OnlineSuffixAutomaton"]
 
@@ -58,12 +58,12 @@ class OnlineSuffixAutomaton:
       the last state that has such a list, so a text whose every transition
       is a chain edge (``aaaa...``) stores none.
 
-    The automaton owns its text, ``[None, SENTINEL, s1, s2, ...]``:
-    :meth:`add_letter` appends each symbol, and the detector's two
-    :class:`~palstream.manacher.OnlineManacher` trackers read the same list.
-    ``add_letter`` rejects :data:`~palstream.manacher.SENTINEL`; once it has
-    raised otherwise (say, on symbols that do not compare), every later call
-    raises :class:`RuntimeError` chained to that failure.
+    The automaton owns its text, ``[None, boundary, s1, s2, ...]`` as
+    :class:`~palstream.manacher.OnlineManacher` lays it out, so symbol
+    ``i + 1`` is ``text[i + 2]``.  :meth:`add_letter` appends each symbol
+    before anything else, and the detector's two trackers read the same
+    list.  Once it has raised (say, on symbols that do not compare), every
+    later call raises :class:`RuntimeError` chained to that failure.
 
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
@@ -74,7 +74,7 @@ class OnlineSuffixAutomaton:
     def __init__(self, mode: ChildStorageMode | str = ChildStorageMode.ORDERED) -> None:
         self.mode = ChildStorageMode(mode)
         self._ordered = self.mode is ChildStorageMode.ORDERED
-        self._text: list = [None, SENTINEL]
+        self._text = _new_text()
         self._link = array("q", [-1])
         self._out: list = [None]
         # slot 0 is unused, so that no clone is ~0 == -1
@@ -133,8 +133,6 @@ class OnlineSuffixAutomaton:
         if self._failure is not None:
             raise RuntimeError("automaton unusable: an earlier add_letter failed "
                                f"with {self._failure!r}") from self._failure
-        if c is SENTINEL:
-            raise ValueError("SENTINEL is reserved and cannot be added as input")
         text = self._text
         text.append(c)
         try:

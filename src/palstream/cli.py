@@ -112,7 +112,13 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     input always yield prefixes of the output.  A reader that closes the
     output early (``| head``) ends the run normally.
     """
+    if sys.stdout is None:  # descriptor 1 was closed when Python started
+        click.echo("error: failed writing output: stdout is closed", err=True)
+        sys.exit(1)
     if file is None or file == "-":
+        if sys.stdin is None:
+            click.echo("error: cannot read stdin: it is closed", err=True)
+            sys.exit(1)
         stream = sys.stdin.buffer
         close_stream = False
     else:

@@ -101,9 +101,10 @@ class PalindromeDetector:
         """Consume one symbol and report the state of the extended stream.
 
         Each substructure absorbs the symbol and returns its new answer.  The
-        automaton goes first: it rejects SENTINEL and appends the symbol that
-        the trackers read.  If any of them raises, the exception propagates
-        and the detector is marked failed: later pushes raise RuntimeError.
+        automaton goes first: it appends the symbol that the trackers read,
+        so an exception (say, from comparing symbols) always comes after the
+        stream has grown.  It propagates and the detector is marked failed:
+        later pushes raise RuntimeError.
         """
         if self._failure is not None:
             raise RuntimeError("detector unusable: an earlier push failed with "

@@ -7,22 +7,17 @@ appended symbol, in amortized constant time per symbol.
 
 from __future__ import annotations
 
-__all__ = ["SENTINEL", "OnlineManacher"]
+__all__ = ["OnlineManacher"]
 
 
-class _Sentinel:
-    """Out-of-band boundary value; compares unequal to every input symbol."""
+def _new_text() -> list:
+    """An empty symbol buffer: ``[None, boundary]``, then one slot per symbol.
 
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "SENTINEL"
-
-
-#: Reserved boundary symbol stored at position 1 of the internal text.
-#: Never valid as input: ``add_letter`` of a standalone structure and
-#: :meth:`~palstream.detector.PalindromeDetector.push` reject it.
-SENTINEL = _Sentinel()
+    Slot 0 is padding, so that positions are 1-based.  Slot 1 is the
+    boundary, a fresh object no caller can hold, so it equals no input
+    symbol and every palindrome stops there.
+    """
+    return [None, object()]
 
 
 class OnlineManacher:
@@ -31,30 +26,30 @@ class OnlineManacher:
     ``delta`` selects the parity: 0 tracks odd-length palindromes, 1 tracks
     even-length ones.  Symbols may be any objects supporting equality.
 
-    Internal arrays are 1-based (index 0 is padding) and the text starts with
-    the boundary sentinel, so an odd palindrome centered at position ``j``
-    with radius ``r`` spans ``text[j-r .. j+r]`` and an even one spans
-    ``text[j-r+1 .. j+r]``.  For every center left of the current center
-    ``rad`` holds the final maximal radius of that parity.
+    The text is ``[None, boundary, s1, s2, ...]`` (see :func:`_new_text`):
+    positions are 1-based and no palindrome reaches past the boundary at
+    position 1.  An odd palindrome centered at position ``j`` with radius
+    ``r`` spans ``text[j-r .. j+r]`` and an even one spans
+    ``text[j-r+1 .. j+r]``.  ``rad`` is indexed by position too; for every
+    center left of the current center it holds the final maximal radius of
+    that parity.
 
-    A tracker built by the constructor owns its text: it rejects
-    :data:`SENTINEL`, and once :meth:`add_letter` has raised (say, in a
-    symbol's ``__eq__``) every later call raises :class:`RuntimeError`.
+    A tracker built by the constructor owns its text and appends each
+    symbol to it; once :meth:`add_letter` has raised (say, in a symbol's
+    ``__eq__``) every later call raises :class:`RuntimeError`.
 
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
 
-    __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_n", "_loop_iters",
-                 "_failure")
+    __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_loop_iters", "_failure")
 
     def __init__(self, delta: int) -> None:
         if delta not in (0, 1):
             raise ValueError(f"parity must be 0 (odd) or 1 (even), got {delta!r}")
         self.delta = delta
-        self._text: list = [None, SENTINEL]  # 1-based; slot 0 unused
+        self._text = _new_text()
         self._owns_text = True
         self._rad = [0, 0, 0]  # zero-filled; kept addressable through n + 1
-        self._n = 1
         self._i = 2  # makes the first add_letter skip the loop cleanly
         self._loop_iters = 0
         self._failure: BaseException | None = None
@@ -63,7 +58,7 @@ class OnlineManacher:
     def _over(cls, text: list, delta: int) -> OnlineManacher:
         """A tracker reading ``text``, a buffer in the internal layout above
         whose owner appends each symbol before calling :meth:`add_letter`.
-        The owner also rejects :data:`SENTINEL` and stops after a failure."""
+        The owner also stops after a failure."""
         manacher = cls(delta)
         manacher._text = text
         manacher._owns_text = False
@@ -78,15 +73,13 @@ class OnlineManacher:
         work over any n symbols bounded by a small multiple of n.
         """
         text, rad, delta = self._text, self._rad, self.delta
-        n, i = self._n, self._i
-        s = i - rad[i] + delta  # start of the maximal suffix-palindrome so far
         if self._owns_text:
             if self._failure is not None:
                 raise RuntimeError("tracker unusable: an earlier add_letter failed "
                                    f"with {self._failure!r}") from self._failure
-            if c is SENTINEL:
-                raise ValueError("SENTINEL is reserved and cannot be added as input")
-            text.append(c)  # text[n + 1] = c
+            text.append(c)
+        n, i = len(text) - 2, self._i  # n: the last position before c, text[n + 1]
+        s = i - rad[i] + delta  # start of the maximal suffix-palindrome so far
         rad.append(0)  # keeps index n + 2 valid for the next call
         iters = 0
         try:
@@ -104,7 +97,6 @@ class OnlineManacher:
             self._failure = exc
             raise
         self._i = i
-        self._n = n + 1
         self._loop_iters += iters
         return 2 * rad[i] + 1 - delta
 
@@ -114,7 +106,7 @@ class OnlineManacher:
         Only meaningful once at least one symbol has been added; querying the
         pristine structure is a misuse and raises.
         """
-        if self._n < 2:
+        if len(self._text) < 3:
             raise RuntimeError("max_pal() queried before any symbol was added")
         return 2 * self._rad[self._i] + 1 - self.delta
 

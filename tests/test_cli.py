@@ -132,6 +132,15 @@ def records_before_eof(args, data, want, timeout=10.0):
     return received.splitlines()
 
 
+def run_with_closed_fd(fd):
+    """`palstream run` on the input "ab" with descriptor ``fd`` closed in the
+    child before Python starts, as `<&-` or `>&-` does."""
+    return subprocess.run(
+        [sys.executable, "-m", "palstream.cli", "run"], input=b"ab",
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=cli_env(),
+        preexec_fn=lambda: os.close(fd), timeout=60)
+
+
 class TestRun:
     def test_jsonl_reference_word(self, runner):
         result = runner.invoke(main, ["run", "--format", "jsonl"],
@@ -230,6 +239,18 @@ class TestRun:
                 stdout=full, stderr=subprocess.PIPE, env=cli_env(), timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.decode().startswith("error: failed writing output:")
+
+    def test_closed_stdin_is_one_error_line(self):
+        proc = run_with_closed_fd(0)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read"), lines
+
+    def test_closed_stdout_is_one_error_line(self):
+        proc = run_with_closed_fd(1)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("error: failed writing output"), lines
 
     def test_undecodable_tokens_are_an_input_error(self, runner):
         result = runner.invoke(main, ["run", "--tokens"], input=b"ok \xff\xfe")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palstream import (SENTINEL, ChildStorageMode, DetectorSummary, PalindromeDetector,
+from palstream import (ChildStorageMode, DetectorSummary, PalindromeDetector,
                        PerfCounters, StepReport)
 from palstream import oracle
 from palstream.selftest import oracle_failures
@@ -91,13 +91,6 @@ class TestSmallCases:
         summary = det.finish()
         assert summary.n == 2
         assert summary.distinct_count == 2
-
-    def test_sentinel_input_rejected(self):
-        det = PalindromeDetector()
-        det.push("a")
-        with pytest.raises(ValueError):
-            det.push(SENTINEL)
-        assert det._text[2:] == ["a"]
 
     def test_structures_share_one_symbol_buffer(self):
         det = PalindromeDetector()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palstream import SENTINEL, OnlineManacher
+from palstream import OnlineManacher
 from palstream.oracle import naive_max_suffix_palindrome
 
 REFERENCE_WORD = "abadaadcaa"
@@ -29,9 +29,9 @@ def feed(delta, w):
 
 
 def radii_of(m):
-    """Radii at text positions 1..n (position 1 is the sentinel).  Entries at
+    """Radii at text positions 1..n (position 1 is the boundary).  Entries at
     or right of the center ``m._i`` are work in progress; the rest are final."""
-    return tuple(m._rad[1:m._n + 1])
+    return tuple(m._rad[1:len(m._text)])
 
 
 def all_strings(alphabet, max_len):
@@ -50,21 +50,16 @@ class TestConstruction:
             OnlineManacher(0).max_pal()
 
     def test_fresh_state(self):
-        # one sentinel consumed, center candidate parked one past the end
+        # only the boundary in the text, center candidate parked one past the end
         for delta in (0, 1):
             m = OnlineManacher(delta)
-            assert m._n - 1 == 0  # input symbols; the sentinel is not one
+            assert len(m._text) - 2 == 0  # input symbols; the boundary is not one
             assert m._i == 2
             assert radii_of(m) == (0,)
 
     def test_bad_parity_rejected(self):
         with pytest.raises(ValueError):
             OnlineManacher(2)
-
-    def test_sentinel_input_rejected(self):
-        m = OnlineManacher(0)
-        with pytest.raises(ValueError):
-            m.add_letter(SENTINEL)
 
     def test_failed_add_letter_stops_the_tracker(self):
         class Uncomparable:
