@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import codecs
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -35,9 +36,9 @@ _TABLE_HEADER = (f"{'n':>8} {'max_pal':>8} {'min_unique_suff':>16} "
 def _table_line(report: StepReport) -> str:
     """One table row; the first record also gets the header."""
     n, _, _, longest, unique, span, closure, distinct = report
-    new = "-" if span is None else f"{span[0]}-{span[1]}"
-    row = (f"{n:>8} {longest:>8} {unique:>16} {new:>14} {closure:>12} "
-           f"{distinct:>15}\n")
+    new = "-" if span is None else "%d-%d" % span
+    row = "%8d %8d %16d %14s %12d %15d\n" % (n, longest, unique, new, closure,
+                                              distinct)
     return _TABLE_HEADER + "\n" + row if n == 1 else row
 
 
@@ -109,8 +110,11 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     separated tokens, which exercises large alphabets.  Output is flushed
     before each read of more input, so the records for every symbol read
     so far are out before the run waits for input, and prefixes of the
-    input always yield prefixes of the output.  A reader that closes the
-    output early (``| head``) ends the run normally.
+    input always yield prefixes of the output.  Between reads, records go
+    out in blocks of up to 8 KiB, also under ``python -u`` or
+    PYTHONUNBUFFERED (a terminal without either gets them line by line).
+    A reader that closes the output early (``| head``) ends the run
+    normally.
     """
     if sys.stdout is None:  # descriptor 1 was closed when Python started
         click.echo("error: failed writing output: stdout is closed", err=True)
@@ -130,6 +134,11 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
         close_stream = True
 
     out = sys.stdout
+    if isinstance(out, io.TextIOWrapper):
+        # `-u` and PYTHONUNBUFFERED make stdout write through: one write(2)
+        # per record.  Let records collect in the text layer's 8 KiB buffer
+        # instead; it goes out when full and at each flush.
+        out.reconfigure(write_through=False)
     write = out.write
     line = _table_line if fmt == "table" else _jsonl_line
     detector = PalindromeDetector()
@@ -138,6 +147,7 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
                    else itertools.chain.from_iterable(_chunks(stream, out)))
         for report in detector.feed(symbols):
             write(line(report))
+        out.flush()  # a final token's record follows the last read
     except BrokenPipeError:
         _discard_stdout()
     except _ReadError as exc:

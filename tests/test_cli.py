@@ -52,10 +52,16 @@ def jsonl_records(text):
     return [json.loads(line) for line in text.splitlines() if line]
 
 
-def cli_env():
+def cli_env(**changes):
     """Environment for a `python -m palstream.cli` child that imports this
-    palstream."""
+    palstream: this process's, with each of ``changes`` set, or removed where
+    its value is None."""
     env = dict(os.environ)
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(palstream.__file__).parents[1]), env.get("PYTHONPATH")]))
     return env
@@ -88,6 +94,38 @@ class OneByteReads(io.BytesIO):
         return super().read1(1)
 
 
+class CountingRaw(io.RawIOBase):
+    """A raw output stream that counts its ``write`` calls and keeps the
+    bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+def table_text(symbols):
+    """`run` table output with each line built by the format spec of the
+    f-strings the table was first written with."""
+    lines = []
+    for r in PalindromeDetector().feed(symbols):
+        new = "-" if r.new_palindrome is None else f"{r.new_palindrome[0]}-{r.new_palindrome[1]}"
+        lines.append(f"{r.n:>8} {r.max_pal:>8} {r.min_unique_suff:>16} {new:>14} "
+                     f"{r.closure_len:>12} {r.distinct_count:>15}\n")
+    if lines:
+        lines.insert(0, f"{'n':>8} {'max_pal':>8} {'min_unique_suff':>16} "
+                        f"{'new':>14} {'closure_len':>12} {'distinct_count':>15}\n")
+    return "".join(lines)
+
+
 def dumps_records(symbols):
     """`run --format jsonl` output as ``json.dumps`` writes each record."""
     lines = []
@@ -100,14 +138,14 @@ def dumps_records(symbols):
     return "".join(lines)
 
 
-def records_before_eof(args, data, want, timeout=10.0):
-    """Start `palstream run ARGS`, write ``data`` to its stdin and keep stdin
-    open; return the lines that arrive before ``want`` of them or the
-    timeout, whichever comes first."""
+def records_before_eof(env, args, data, want, timeout=10.0):
+    """Start `palstream run ARGS` in ``env``, write ``data`` to its stdin and
+    keep stdin open; return the lines that arrive before ``want`` of them or
+    the timeout, whichever comes first."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "palstream.cli", "run", *args],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        env=cli_env())
+        env=env)
     try:
         proc.stdin.write(data)
         proc.stdin.flush()
@@ -132,16 +170,87 @@ def records_before_eof(args, data, want, timeout=10.0):
     return received.splitlines()
 
 
-def run_with_closed_fd(fd):
-    """`palstream run` on the input "ab" with descriptor ``fd`` closed in the
-    child before Python starts, as `<&-` or `>&-` does."""
+def run_with_closed_fd(fd, env):
+    """`palstream run` in ``env`` on the input "ab" with descriptor ``fd``
+    closed in the child before Python starts, as `<&-` or `>&-` does."""
     return subprocess.run(
         [sys.executable, "-m", "palstream.cli", "run"], input=b"ab",
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=cli_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
         preexec_fn=lambda: os.close(fd), timeout=60)
 
 
-class TestRun:
+def write_to_dev_full(env, args, path):
+    """`palstream run ARGS PATH` in ``env``, with stdout on a device where
+    every write fails."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    with open("/dev/full", "wb") as full:
+        return subprocess.run(
+            [sys.executable, "-m", "palstream.cli", "run", *args, str(path)],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+class RunInChildChecks:
+    """`palstream run` as a child process, in the environment given by the
+    fixture ``env`` of each test class that inherits these tests."""
+
+    def test_output_closed_early_ends_cleanly(self, tmp_path, env):
+        # `palstream run FILE | head -2`: the reader leaves after two records
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"ab" * 50_000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "palstream.cli", "run", "--format", "jsonl", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert [json.loads(line)["n"] for line in lines] == [1, 2]
+        assert proc.returncode == 0
+        assert stderr == b""
+
+    def test_write_failure_is_not_reported_as_input_error(self, tmp_path, env):
+        path = tmp_path / "input.txt"
+        path.write_bytes(REFERENCE_WORD.encode())
+        proc = write_to_dev_full(env, [], path)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().startswith("error: failed writing output:")
+
+    def test_write_failure_after_the_last_read_is_reported(self, tmp_path, env):
+        # the record of a final token with no whitespace after it is
+        # written only once the input has ended
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"foo")
+        proc = write_to_dev_full(env, ["--tokens"], path)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().startswith("error: failed writing output:")
+
+    def test_closed_stdout_is_one_error_line(self, env):
+        proc = run_with_closed_fd(1, env)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("error: failed writing output"), lines
+
+    def test_records_arrive_before_stdin_closes(self, env):
+        lines = records_before_eof(env, ["--format", "jsonl"], b"aba", 3)
+        assert [json.loads(line)["n"] for line in lines] == [1, 2, 3]
+
+    def test_token_records_arrive_before_stdin_closes(self, env):
+        lines = records_before_eof(env, ["--format", "jsonl", "--tokens"], b"foo bar \n", 2)
+        assert [json.loads(line)["n"] for line in lines] == [1, 2]
+
+
+class TestRun(RunInChildChecks):
+    @pytest.fixture
+    def env(self):
+        return cli_env()
+
     def test_jsonl_reference_word(self, runner):
         result = runner.invoke(main, ["run", "--format", "jsonl"],
                                input=REFERENCE_WORD.encode())
@@ -207,50 +316,11 @@ class TestRun:
         part_lines = part.stdout.splitlines()
         assert full_lines[:5] == part_lines
 
-    def test_output_closed_early_ends_cleanly(self, tmp_path):
-        # `palstream run FILE | head -2`: the reader leaves after two records
-        path = tmp_path / "input.txt"
-        path.write_bytes(b"ab" * 50_000)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "palstream.cli", "run", "--format", "jsonl", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
-        try:
-            lines = [proc.stdout.readline() for _ in range(2)]
-            proc.stdout.close()
-            stderr = proc.stderr.read()
-            proc.wait(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stderr.close()
-        assert [json.loads(line)["n"] for line in lines] == [1, 2]
-        assert proc.returncode == 0
-        assert stderr == b""
-
-    def test_write_failure_is_not_reported_as_input_error(self, tmp_path):
-        if not os.path.exists("/dev/full"):
-            pytest.skip("needs /dev/full")
-        path = tmp_path / "input.txt"
-        path.write_bytes(REFERENCE_WORD.encode())
-        with open("/dev/full", "wb") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "palstream.cli", "run", str(path)],
-                stdout=full, stderr=subprocess.PIPE, env=cli_env(), timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.decode().startswith("error: failed writing output:")
-
-    def test_closed_stdin_is_one_error_line(self):
-        proc = run_with_closed_fd(0)
+    def test_closed_stdin_is_one_error_line(self, env):
+        proc = run_with_closed_fd(0, env)
         lines = proc.stderr.decode().splitlines()
         assert proc.returncode == 1
         assert len(lines) == 1 and lines[0].startswith("error: cannot read"), lines
-
-    def test_closed_stdout_is_one_error_line(self):
-        proc = run_with_closed_fd(1)
-        lines = proc.stderr.decode().splitlines()
-        assert proc.returncode == 1
-        assert len(lines) == 1 and lines[0].startswith("error: failed writing output"), lines
 
     def test_undecodable_tokens_are_an_input_error(self, runner):
         result = runner.invoke(main, ["run", "--tokens"], input=b"ok \xff\xfe")
@@ -262,14 +332,6 @@ class TestRun:
         result = runner.invoke(main, ["run", "--tokens"], input=stream(b"ok \xc3"))
         assert result.exit_code == 1
         assert "failed reading input" in result.stderr
-
-    def test_records_arrive_before_stdin_closes(self):
-        lines = records_before_eof(["--format", "jsonl"], b"aba", 3)
-        assert [json.loads(line)["n"] for line in lines] == [1, 2, 3]
-
-    def test_token_records_arrive_before_stdin_closes(self):
-        lines = records_before_eof(["--format", "jsonl", "--tokens"], b"foo bar \n", 2)
-        assert [json.loads(line)["n"] for line in lines] == [1, 2]
 
     @pytest.mark.parametrize("data", ["h\u00e9llo w\u00f6rld  h\u00e9llo\n\u00e9 x \u00e9",
                                       "\u20ac\U0001f600 \u20ac"])
@@ -297,6 +359,41 @@ class TestRun:
         # both forms of "new" were pinned
         assert b'"new": null' in result.stdout_bytes
         assert b'"new": "' in result.stdout_bytes
+
+    def test_table_bytes_equal_format_spec(self, runner):
+        data = bytes(random.Random(7).choices(b"abcdefghijklmnopqrstuvwxyz", k=5000))
+        outputs = []
+        for symbols in (data, b"a" * 5000):
+            result = runner.invoke(main, ["run"], input=symbols)
+            assert result.exit_code == 0
+            assert result.stdout_bytes == table_text(symbols).encode()
+            outputs.append(result.stdout_bytes)
+        # both forms of "new" were pinned
+        assert b"              - " in outputs[0]
+        assert b" 1-5000 " in outputs[1]
+
+    @pytest.mark.parametrize("fmt", ["table", "jsonl"])
+    def test_writes_do_not_depend_on_interpreter_buffering(self, monkeypatch, tmp_path, fmt):
+        # the layout of sys.stdout under `python -u` or PYTHONUNBUFFERED
+        raw = CountingRaw()
+        monkeypatch.setattr(sys, "stdout",
+                            io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        data = bytes(random.Random(11).choices(b"abcdefghijklmnopqrstuvwxyz", k=2000))
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        main(["run", "--format", fmt, str(path)], standalone_mode=False)
+        expected = (table_text if fmt == "table" else dumps_records)(data).encode()
+        assert bytes(raw.data) == expected
+        assert raw.writes <= len(expected) // 4096 + 2
+
+
+class TestRunBuffering(RunInChildChecks):
+    """The child-process checks with stdout buffered and write-through
+    (`python -u`), whatever this process was started with."""
+
+    @pytest.fixture(params=[None, "1"], ids=["PYTHONUNBUFFERED_unset", "PYTHONUNBUFFERED_1"])
+    def env(self, request):
+        return cli_env(PYTHONUNBUFFERED=request.param)
 
 
 class TestBench:
