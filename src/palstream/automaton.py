@@ -21,11 +21,17 @@ __all__ = ["ChildStorageMode", "PerfCounters", "OnlineSuffixAutomaton"]
 
 
 class ChildStorageMode(str, Enum):
-    """How the outgoing transitions of a state are stored and searched."""
+    """How the outgoing transitions of a state are stored and searched.
 
-    #: Sorted list + binary search; symbols need a total order.
+    In both modes every symbol must equal itself: ``float("nan")`` does not,
+    and the modes give different answers for it.  Symbols are not checked.
+    """
+
+    #: Sorted list + binary search; symbols need a total order (and equality
+    #: that agrees with it).
     ORDERED = "ordered"
-    #: Flat list + linear scan; symbols only need equality.
+    #: Flat list + linear scan; symbols only need an equality under which
+    #: each equals itself.
     UNORDERED = "unordered"
 
 

@@ -13,10 +13,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import oracle
 from .automaton import ChildStorageMode
 from .detector import DetectorSummary, PalindromeDetector
-from .selftest import REFERENCE_WORD
 
 __all__ = ["GENERATORS", "BenchConfig", "BenchMeasurement", "make_input",
            "run_one", "run_config"]
@@ -83,13 +81,15 @@ def make_input(generator: str, sigma: int, n: int, seed: int):
     if generator == "uniform_a":
         return "a" * n
     if generator == "paper_example":
+        from .selftest import REFERENCE_WORD
         return REFERENCE_WORD
     rng = random.Random(seed)
     if generator == "random":
         return [rng.randrange(sigma) for _ in range(n)]
     if generator == "abx":
+        from .oracle import gen_abx
         xs = [rng.randrange(2, sigma) for _ in range((n + 2) // 3)]
-        return oracle.gen_abx(0, 1, xs)[:n]
+        return gen_abx(0, 1, xs)[:n]
     raise ValueError(f"unknown generator {generator!r}")
 
 
@@ -123,11 +123,11 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
     mode = ChildStorageMode(cfg.mode)
     sizes = cfg.sizes
     if cfg.generator == "paper_example":
+        from .selftest import REFERENCE_WORD
         sizes = (len(REFERENCE_WORD),)
     results = []
     for n in sizes:
         times = []
-        summaries: list[DetectorSummary] = []
         for rep in range(cfg.repetitions):
             symbols = make_input(cfg.generator, cfg.sigma, n,
                                  cfg.seed * 1_000_003 + rep)
@@ -137,9 +137,9 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
                 raise RuntimeError(f"bound violated: {problems[0]} "
                                    f"(gen={cfg.generator}, n={n}, rep={rep})")
             times.append(elapsed)
-            summaries.append(summary)
+            if rep == 0:
+                first_summary = summary  # validate() guarantees a rep 0
         best = min(times)
-        first_summary = summaries[0]  # validate() guarantees a repetition
         counters = first_summary.tree
         results.append(BenchMeasurement(
             gen=cfg.generator,
@@ -152,7 +152,7 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
             wall_mean=sum(times) / len(times),
             symbols_per_sec=n / best if best > 0 else float("inf"),
             manacher_loop_iters=first_summary.manacher_loop_total,
-            manacher_loop_bound=4 * n,
+            manacher_loop_bound=first_summary.manacher_loop_bound,
             nodes=counters.nodes,
             child_probes=counters.child_probes,
             suffix_link_hops=counters.suffix_link_hops,

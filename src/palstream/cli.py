@@ -1,6 +1,7 @@
 """Command-line front end: stream analysis, benchmarks, self-verification.
 
-Exit codes: 0 success, 1 input/configuration error, 2 self-test failure.
+Exit codes: 0 success, 1 input/configuration error, 2 self-test failure or
+a usage error reported by click (an unknown option or an invalid choice).
 """
 
 from __future__ import annotations
@@ -9,14 +10,13 @@ import codecs
 import dataclasses
 import io
 import itertools
-import json
 import os
 import sys
 from typing import Iterator
 
 import click
 
-from . import selftest as selftest_module
+from .automaton import ChildStorageMode
 from .bench import GENERATORS, BenchConfig, BenchMeasurement, run_config
 from .detector import PalindromeDetector, StepReport
 
@@ -184,8 +184,8 @@ def _bench_table(results: list[BenchMeasurement]) -> str:
               help="Alphabet size for generated inputs.")
 @click.option("--sizes", default="1000", show_default=True,
               help="Comma-separated input lengths, strictly increasing.")
-@click.option("--mode", type=click.Choice(["ordered", "unordered"]),
-              default="ordered", show_default=True,
+@click.option("--mode", type=click.Choice([m.value for m in ChildStorageMode]),
+              default=ChildStorageMode.ORDERED.value, show_default=True,
               help="Child-storage mode of the suffix automaton.")
 @click.option("--reps", type=int, default=1, show_default=True,
               help="Repetitions per size (fresh seed each).")
@@ -199,6 +199,8 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
     table on stderr.  Every run is checked against the 4n loop and 2n state
     bounds.
     """
+    import json
+
     try:
         size_list = tuple(int(part) for part in sizes.split(",") if part.strip())
     except ValueError:
@@ -221,7 +223,9 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
 @main.command("selftest")
 def selftest_command() -> None:
     """Check the engine against its reference trace and the oracles."""
-    if not selftest_module.run(echo=click.echo):
+    from . import selftest
+
+    if not selftest.run(echo=click.echo):
         sys.exit(2)
 
 

@@ -53,13 +53,19 @@ class DetectorSummary:
     def manacher_loop_total(self) -> int:
         return self.manacher_loop_odd + self.manacher_loop_even
 
+    @property
+    def manacher_loop_bound(self) -> int:
+        """4n: the most Manacher loop passes a run of n symbols may take."""
+        return 4 * self.n
+
     def bound_problems(self) -> list[str]:
         """The linear bounds these totals break, one message each: at most 4n
         Manacher loop passes, and at most 2n automaton states once n > 0."""
         n = self.n
         problems = []
-        if self.manacher_loop_total > 4 * n:
-            problems.append(f"manacher loop total {self.manacher_loop_total} > 4n = {4 * n}")
+        if self.manacher_loop_total > self.manacher_loop_bound:
+            problems.append(f"manacher loop total {self.manacher_loop_total} "
+                            f"> 4n = {self.manacher_loop_bound}")
         if n and self.tree.nodes > 2 * n:
             problems.append(f"{self.tree.nodes} automaton states > 2n = {2 * n}")
         return problems
@@ -68,8 +74,10 @@ class DetectorSummary:
 class PalindromeDetector:
     """Streams symbols through the palindrome trackers and the suffix automaton.
 
-    Symbols may be any hashable, equality-comparable objects; ordered
-    child-storage mode additionally needs them totally ordered.  The
+    Symbols may be any hashable objects that each equal themselves (so not
+    ``float("nan")``); ordered child-storage mode additionally needs them
+    totally ordered.  Symbols are not checked: outside this contract the
+    answers are wrong, and differ between the modes.  The
     automaton owns the one symbol buffer and appends each symbol to it; both
     palindrome trackers read that buffer.  Independent detectors share no
     state; a single detector is single-writer.  A push that raises leaves

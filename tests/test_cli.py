@@ -466,6 +466,41 @@ class TestBench:
         result = runner.invoke(main, ["bench", "--gen", "bogus", "--sizes", "10"])
         assert result.exit_code != 0
 
+    def test_abx_generator(self, runner):
+        result = runner.invoke(
+            main, ["bench", "--gen", "abx", "--sigma", "5", "--sizes", "99",
+                   "--seed", "3"])
+        assert result.exit_code == 0
+        [record] = jsonl_records(result.stdout)
+        assert record["n"] == 99
+        assert record["manacher_loop_bound"] == 4 * 99
+        # abx words hold only one-letter palindromes: a, b and some of 2..4
+        assert 3 <= record["distinct_count"] <= 5
+
+    def test_uniform_a_counts_every_step(self, runner):
+        result = runner.invoke(
+            main, ["bench", "--gen", "uniform_a", "--sizes", "50,100"])
+        assert result.exit_code == 0
+        records = jsonl_records(result.stdout)
+        assert [r["n"] for r in records] == [50, 100]
+        assert all(r["distinct_count"] == r["n"] for r in records)
+
+    def test_non_integer_sizes_rejected(self, runner):
+        result = runner.invoke(
+            main, ["bench", "--gen", "random", "--sizes", "1,x"])
+        assert result.exit_code == 1
+        assert "comma-separated integers" in result.stderr
+
+    @pytest.mark.parametrize("cfg, message", [
+        (BenchConfig("bogus"), "unknown generator"),
+        (BenchConfig("random", sizes=()), "at least one size"),
+        (BenchConfig("random", sizes=(0,)), "positive"),
+        (BenchConfig("random", sigma=0), "sigma >= 1"),
+    ], ids=["generator", "no_sizes", "size_below_1", "random_sigma_0"])
+    def test_bad_config_raises(self, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            run_config(cfg)
+
     def test_unordered_probe_excess_grows_with_sigma(self, runner):
         # directional: the unordered/ordered probe factor widens as the
         # alphabet grows
@@ -516,3 +551,16 @@ class TestSelftest:
             capture_output=True, env=cli_env(), timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert b"FAIL" not in proc.stdout
+
+
+class TestImports:
+    def test_run_imports_neither_the_tools_nor_json(self):
+        # `palstream run` needs the engine, `bench` (for --gen's choices) and
+        # click; the self-test, its oracle and json load with their commands
+        code = ("import sys; before = set(sys.modules); import palstream.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=cli_env(), timeout=60, check=True)
+        added = set(proc.stdout.decode().split())
+        assert "palstream.cli" in added
+        assert not added & {"palstream.selftest", "palstream.oracle", "json"}
