@@ -16,13 +16,14 @@ from typing import Iterator
 
 import click
 
+from . import __version__
 from .automaton import ChildStorageMode
 from .bench import GENERATORS, BenchConfig, BenchMeasurement, run_config
 from .detector import PalindromeDetector, StepReport
 
 
 @click.group()
-@click.version_option(package_name="palstream")
+@click.version_option(version=__version__, prog_name="palstream")
 def main() -> None:
     """Online detection of distinct palindromes in a symbol stream."""
 

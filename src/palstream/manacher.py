@@ -44,7 +44,7 @@ class OnlineManacher:
     __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_loop_iters", "_failure")
 
     def __init__(self, delta: int) -> None:
-        if delta not in (0, 1):
+        if not isinstance(delta, int) or delta not in (0, 1):
             raise ValueError(f"parity must be 0 (odd) or 1 (even), got {delta!r}")
         self.delta = delta
         self._text = _new_text()

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import palstream
-from palstream import PalindromeDetector
+from palstream import DetectorSummary, PalindromeDetector
 from palstream.bench import BenchConfig, run_config
 from palstream.cli import main
 
@@ -491,6 +491,15 @@ class TestBench:
         assert result.exit_code == 1
         assert "comma-separated integers" in result.stderr
 
+    def test_bound_violation_exits_1(self, runner, monkeypatch):
+        monkeypatch.setattr(DetectorSummary, "bound_problems",
+                            lambda self: ["planted bound problem"])
+        result = runner.invoke(
+            main, ["bench", "--gen", "random", "--sizes", "10"])
+        assert result.exit_code == 1
+        assert ("error: bound violated: planted bound problem "
+                "(gen=random, n=10, rep=0)") in result.stderr
+
     @pytest.mark.parametrize("cfg, message", [
         (BenchConfig("bogus"), "unknown generator"),
         (BenchConfig("random", sizes=()), "at least one size"),
@@ -544,6 +553,14 @@ class TestSelftest:
         assert result.exit_code == 2
         assert "FAIL" in result.output
 
+    def test_bound_violation_is_caught(self, runner, monkeypatch):
+        monkeypatch.setattr(DetectorSummary, "bound_problems",
+                            lambda self: ["planted bound problem"])
+        result = runner.invoke(main, ["selftest"])
+        assert result.exit_code == 2
+        assert "FAIL oracle sweep" in result.stdout
+        assert "planted bound problem" in result.stdout
+
     def test_passes_without_asserts(self):
         # `python -O` strips assert statements; no check may depend on one
         proc = subprocess.run(
@@ -551,6 +568,24 @@ class TestSelftest:
             capture_output=True, env=cli_env(), timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert b"FAIL" not in proc.stdout
+
+
+class TestVersion:
+    expected = f"palstream, version {palstream.__version__}\n"
+
+    def test_version_in_process(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.stdout == self.expected
+
+    def test_version_from_checkout(self):
+        # the package is imported from its source tree, not installed, so
+        # the version must not come from installed metadata
+        proc = subprocess.run(
+            [sys.executable, "-m", "palstream.cli", "--version"],
+            capture_output=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == self.expected
 
 
 class TestImports:

@@ -58,8 +58,11 @@ class TestConstruction:
             assert radii_of(m) == (0,)
 
     def test_bad_parity_rejected(self):
-        with pytest.raises(ValueError):
-            OnlineManacher(2)
+        # a float equal to 0 or 1 would pass `in (0, 1)` and then fail as a
+        # list index on the second symbol
+        for delta in (2, 0.0, 1.0):
+            with pytest.raises(ValueError):
+                OnlineManacher(delta)
 
     def test_failed_add_letter_stops_the_tracker(self):
         class Uncomparable:
