@@ -99,7 +99,8 @@ class OnlineSuffixAutomaton:
         Probe counting mirrors the comparison cost of the storage mode: the
         steps of a binary search plus a final equality test when ordered, one
         per element touched by the linear scan when unordered.  Both searches
-        run in C, so the count is arithmetic.
+        run in C, so the count is arithmetic.  :meth:`add_letter`'s walk
+        inlines this search and its count.
         """
         m = len(edges) >> 1
         if self._ordered:
@@ -143,7 +144,10 @@ class OnlineSuffixAutomaton:
         text.append(c)
         try:
             cur = len(text) - 2  # the new state, and its length
-            link, out = self._link, self._out
+            link, out, ordered = self._link, self._out, self._ordered
+            # The walk counts its probes and hops in these locals and adds
+            # them to the totals once it ends.  It searches each state's list
+            # as _slot does, inline, at the same probe cost.
             probes = hops = 0
             p = link[cur - 1]  # cur - 1 reaches cur by its chain edge
             while p != -1:
@@ -164,8 +168,17 @@ class OnlineSuffixAutomaton:
                         continue
                 else:
                     edges = self._clone_out[~p]
-                i = self._slot(edges, c)
                 m = len(edges) >> 1
+                if ordered:
+                    probes += m.bit_length() + 1
+                    i = bisect_left(edges, c, 0, m)
+                else:
+                    try:
+                        i = edges.index(c, 0, m)
+                        probes += i + 1
+                    except ValueError:
+                        i = m
+                        probes += m
                 if i < m and edges[i] == c:
                     q = edges[m + i]
                     break

@@ -34,6 +34,13 @@ class OnlineManacher:
     center left of the current center it holds the final maximal radius of
     that parity.
 
+    The current center ``i`` is that of the maximal suffix-palindrome.  Once
+    a symbol has been added, every :meth:`add_letter` starts with
+    ``i + rad[i] == n``, ``n`` being the position of the last symbol before
+    the new one: that palindrome ends at the old text's end.  So the loop's
+    first pass would mirror ``rad[i]`` onto itself, and :meth:`add_letter`
+    only tests whether the new symbol extends it.
+
     A tracker built by the constructor owns its text and appends each
     symbol to it; once :meth:`add_letter` has raised (say, in a symbol's
     ``__eq__``) every later call raises :class:`RuntimeError`.
@@ -79,10 +86,18 @@ class OnlineManacher:
                                    f"with {self._failure!r}") from self._failure
             text.append(c)
         n, i = len(text) - 2, self._i  # n: the last position before c, text[n + 1]
-        s = i - rad[i] + delta  # start of the maximal suffix-palindrome so far
+        r = rad[i]
+        s = i - r + delta  # start of the maximal suffix-palindrome so far
         rad.append(0)  # keeps index n + 2 valid for the next call
         iters = 0
         try:
+            if i <= n:  # not the first symbol, so i + r == n: the loop's first pass
+                iters = 1
+                if text[s - 1] == c:
+                    rad[i] = r + 1  # the suffix-palindrome extends over c
+                    self._loop_iters += 1
+                    return 2 * r + 3 - delta
+                i += 1
             while i + rad[i] <= n:
                 iters += 1
                 r = rad[s + n - i - delta]  # mirrored center inside the suffix-palindrome

@@ -32,17 +32,26 @@ REFERENCE_SPANS = ((1, 1), (2, 2), (1, 3), (4, 4), (3, 5),
 def golden_example_failures(
     mode: ChildStorageMode | str = ChildStorageMode.ORDERED,
 ) -> list[str]:
-    """Run the reference word and diff every row against the frozen trace."""
+    """Run the reference word and diff every row against the frozen trace.
+
+    The closure length and the distinct count follow from the frozen rows:
+    ``2k - max_pal`` after ``k`` symbols, and the number of spans so far.
+    """
     det = PalindromeDetector(mode)
     problems = []
+    count = 0
     for step, c in enumerate(REFERENCE_WORD):
         report = det.push(c)
+        if REFERENCE_SPANS[step] is not None:
+            count += 1
         expected = {
             "max_pal_odd": REFERENCE_MAX_PAL_ODD[step],
             "max_pal_even": REFERENCE_MAX_PAL_EVEN[step],
             "max_pal": REFERENCE_MAX_PAL[step],
             "min_unique_suff": REFERENCE_MIN_UNIQUE[step],
             "new_palindrome": REFERENCE_SPANS[step],
+            "closure_len": 2 * (step + 1) - REFERENCE_MAX_PAL[step],
+            "distinct_count": count,
         }
         for name, want in expected.items():
             got = getattr(report, name)
@@ -53,8 +62,8 @@ def golden_example_failures(
 
 
 def oracle_failures(w: Sequence) -> list[str]:
-    """Compare every per-step field of the detector against the brute-force
-    oracles on one input, plus the end-of-run counter bounds.
+    """Compare every per-step field of one detector per storage mode against
+    the brute-force oracles on one input, plus the end-of-run counter bounds.
 
     Returns human-readable mismatch descriptions; empty means the input
     passed.
@@ -67,35 +76,38 @@ def oracle_failures(w: Sequence) -> list[str]:
             problems.append(f"{w!r}: two palindromes first ending at {span[1]}")
         first_end[span[1]] = span
 
-    det = PalindromeDetector()
+    detectors = [PalindromeDetector(mode) for mode in ChildStorageMode]
     count = 0
     for k in range(1, len(w) + 1):
-        report = det.push(w[k - 1])
         prefix = w[:k]
         span = first_end.get(k)
         if span is not None:
             count += 1
         odd = oracle.naive_max_suffix_palindrome(prefix, 0)
         even = oracle.naive_max_suffix_palindrome(prefix, 1)
-        checks = (
-            ("max_pal_odd", odd, report.max_pal_odd),
-            ("max_pal_even", even, report.max_pal_even),
-            ("max_pal", max(odd, even), report.max_pal),
-            ("min_unique_suff", oracle.naive_min_unique_suffix(prefix),
-             report.min_unique_suff),
-            ("new_palindrome", span, report.new_palindrome),
-            ("closure_len", len(oracle.naive_palindromic_closure(prefix)),
-             report.closure_len),
-            ("distinct_count", count, report.distinct_count),
+        expected = (
+            ("max_pal_odd", odd),
+            ("max_pal_even", even),
+            ("max_pal", max(odd, even)),
+            ("min_unique_suff", oracle.naive_min_unique_suffix(prefix)),
+            ("new_palindrome", span),
+            ("closure_len", len(oracle.naive_palindromic_closure(prefix))),
+            ("distinct_count", count),
         )
-        for name, want, got in checks:
-            if want != got:
-                problems.append(
-                    f"{w!r} step {k}: {name} = {got!r}, oracle says {want!r}")
-        if report.distinct_count > k:
-            problems.append(f"{w!r} step {k}: distinct_count exceeds prefix length")
+        for det in detectors:
+            report = det.push(w[k - 1])
+            for name, want in expected:
+                got = getattr(report, name)
+                if want != got:
+                    problems.append(f"{w!r} step {k} ({det.mode.value}): "
+                                    f"{name} = {got!r}, oracle says {want!r}")
+            if report.distinct_count > k:
+                problems.append(f"{w!r} step {k} ({det.mode.value}): "
+                                "distinct_count exceeds prefix length")
 
-    problems.extend(f"{w!r}: {p}" for p in det.finish().bound_problems())
+    for det in detectors:
+        problems.extend(f"{w!r} ({det.mode.value}): {p}"
+                        for p in det.finish().bound_problems())
     return problems
 
 

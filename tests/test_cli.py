@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import palstream
-from palstream import DetectorSummary, PalindromeDetector
+from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
 from palstream.bench import BenchConfig, run_config
 from palstream.cli import main
 
@@ -553,6 +553,27 @@ class TestSelftest:
         assert result.exit_code == 2
         assert "FAIL" in result.output
 
+    def test_unordered_only_fault_is_caught(self, runner, monkeypatch):
+        # a detector that miscounts only in unordered mode: both the
+        # reference example and the sweep must run that mode
+        import palstream.selftest as selftest_module
+        from palstream.detector import PalindromeDetector
+
+        class UnorderedMiscounts(PalindromeDetector):
+            def push(self, c):
+                r = super().push(c)
+                if self.mode is ChildStorageMode.UNORDERED:
+                    r = r._replace(distinct_count=r.distinct_count + 1)
+                return r
+
+        monkeypatch.setattr(selftest_module, "PalindromeDetector", UnorderedMiscounts)
+        result = runner.invoke(main, ["selftest"])
+        assert result.exit_code == 2
+        assert "ok   reference example (ordered)" in result.stdout
+        assert "FAIL reference example (unordered)" in result.stdout
+        assert "FAIL oracle sweep" in result.stdout
+        assert "(unordered): distinct_count" in result.stdout
+
     def test_bound_violation_is_caught(self, runner, monkeypatch):
         monkeypatch.setattr(DetectorSummary, "bound_problems",
                             lambda self: ["planted bound problem"])
@@ -586,6 +607,33 @@ class TestVersion:
             capture_output=True, env=cli_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.decode() == self.expected
+
+
+class TestTracedCli:
+    """perfbench/traced_cli.py swaps in its own `cli.PalindromeDetector`,
+    which forwards only positional arguments and relies on `run` calling
+    `feed`; its records and spans must stay those of `palstream run`."""
+
+    def test_records_and_spans(self, runner, tmp_path, monkeypatch):
+        perfbench = Path(__file__).parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        from tracing import Tracer
+
+        data = tmp_path / "word.txt"
+        data.write_bytes(REFERENCE_WORD.encode())
+        spans = tmp_path / "spans.bin"
+        proc = subprocess.run(
+            [sys.executable, str(perfbench / "traced_cli.py"), str(spans),
+             "--format", "jsonl", str(data)],
+            capture_output=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        untraced = runner.invoke(main, ["run", "--format", "jsonl", str(data)])
+        assert proc.stdout.decode() == untraced.stdout
+        tracer, _ = Tracer.load(spans)
+        counts = {name: row[0] for name, row in tracer.totals().items()}
+        for name in ("detector.push", "manacher.odd.add_letter",
+                     "manacher.even.add_letter", "ukkonen.add_letter"):
+            assert counts[name] == len(REFERENCE_WORD), name
 
 
 class TestImports:

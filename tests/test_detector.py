@@ -12,6 +12,8 @@ from palstream import (ChildStorageMode, DetectorSummary, PalindromeDetector,
                        PerfCounters, StepReport)
 from palstream import oracle
 from palstream.selftest import oracle_failures
+from test_differential import random_tokens
+from test_manacher import FailsOnCall
 
 REFERENCE_WORD = "abadaadcaa"
 EXPECTED_MAX_PAL = [1, 1, 3, 1, 3, 2, 4, 1, 1, 2]
@@ -91,6 +93,23 @@ class TestSmallCases:
         summary = det.finish()
         assert summary.n == 2
         assert summary.distinct_count == 2
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_failure_at_any_comparison_poisons_detector(self, mode):
+        # the symbol's k-th comparison raises, whichever structure makes it:
+        # after a^6 the automaton compares it 6 times, the odd tracker 3
+        # times and the even tracker 4 times
+        total = FailsOnCall(0)
+        run("a" * 6, mode)[0].push(total)
+        assert total.calls == 6 + 3 + 4
+        for k in range(1, total.calls + 1):
+            det, _ = run("a" * 6, mode)
+            c = FailsOnCall(k)
+            with pytest.raises(ArithmeticError):
+                det.push(c)
+            assert c.calls == k
+            with pytest.raises(RuntimeError, match="ArithmeticError"):
+                det.push("a")
 
     def test_structures_share_one_symbol_buffer(self):
         det = PalindromeDetector()
@@ -253,6 +272,43 @@ class TestBoundProblems:
         for w in ("", REFERENCE_WORD, "a" * 300, "ab" * 150):
             det, _ = run(w)
             assert det.finish().bound_problems() == [], w
+
+
+PINNED_WORDS = {
+    "reference": lambda: REFERENCE_WORD,
+    "uniform_a": lambda: "a" * 2000,
+    "ab_repeated": lambda: "ab" * 1000,
+    "random_sigma26": lambda: "".join(
+        random.Random(17).choices("abcdefghijklmnopqrstuvwxyz", k=5000)),
+    "tokens256": lambda: random_tokens(5000, random.Random(19)),
+}
+# exact finish() totals: manacher_loop_odd, manacher_loop_even, nodes,
+# suffix_link_hops, child_probes; only child_probes depends on the mode
+PINNED_TOTALS = {
+    ("reference", "ordered"): (11, 11, 13, 9, 39),
+    ("reference", "unordered"): (11, 11, 13, 9, 28),
+    ("uniform_a", "ordered"): (2998, 2998, 2001, 0, 1999),
+    ("uniform_a", "unordered"): (2998, 2998, 2001, 0, 1999),
+    ("ab_repeated", "ordered"): (2998, 1999, 2001, 1, 1999),
+    ("ab_repeated", "unordered"): (2998, 1999, 2001, 1, 1999),
+    ("random_sigma26", "ordered"): (5191, 5214, 6249, 6244, 60107),
+    ("random_sigma26", "unordered"): (5191, 5214, 6249, 6244, 108118),
+    ("tokens256", "ordered"): (5021, 5016, 5428, 5425, 74987),
+    ("tokens256", "unordered"): (5021, 5016, 5428, 5425, 705314),
+}
+
+
+class TestPinnedCounters:
+    """The structural totals are part of the output: a change to either
+    Manacher loop or to the automaton's walk must leave them exactly as
+    they are, not merely within their bounds."""
+
+    @pytest.mark.parametrize("word, mode", list(PINNED_TOTALS))
+    def test_exact_totals(self, word, mode):
+        det, _ = run(PINNED_WORDS[word](), mode)
+        s = det.finish()
+        assert (s.manacher_loop_odd, s.manacher_loop_even, s.tree.nodes,
+                s.tree.suffix_link_hops, s.tree.child_probes) == PINNED_TOTALS[word, mode]
 
 
 class TestTracingHooks:

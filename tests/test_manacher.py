@@ -19,6 +19,23 @@ EXPECTED_RADII_ODD = (0, 1, 0, 1, 0, 0, 0, 0, 0, 0)
 EXPECTED_RADII_EVEN = (0, 0, 0, 0, 2, 0, 0, 0, 1, 0)
 
 
+class FailsOnCall:
+    """A symbol that equals nothing: its ``__eq__`` returns False ``k - 1``
+    times, then raises ArithmeticError.  ``calls`` counts the comparisons."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+
+    def __eq__(self, other):
+        self.calls += 1
+        if self.calls == self.k:
+            raise ArithmeticError(f"comparison {self.k} fails")
+        return False
+
+    __hash__ = object.__hash__
+
+
 def feed(delta, w):
     m = OnlineManacher(delta)
     values = []
@@ -75,6 +92,21 @@ class TestConstruction:
             m, _ = feed(delta, "abc")
             with pytest.raises(ArithmeticError):
                 m.add_letter(Uncomparable())
+            with pytest.raises(RuntimeError, match="ArithmeticError") as info:
+                m.add_letter("a")
+            assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failure_on_a_later_pass_stops_the_tracker(self, k):
+        # after a^6 a new symbol is compared on 3 (odd) or 4 (even) passes:
+        # the first one, then one per center up to the last position
+        for delta in (0, 1):
+            m, _ = feed(delta, "a" * 6)
+            c = FailsOnCall(k)
+            with pytest.raises(ArithmeticError):
+                m.add_letter(c)
+            assert c.calls == k
             with pytest.raises(RuntimeError, match="ArithmeticError") as info:
                 m.add_letter("a")
             assert isinstance(info.value.__cause__, ArithmeticError)
