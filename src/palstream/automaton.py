@@ -114,18 +114,6 @@ class OnlineSuffixAutomaton:
         self._probes += i + 1
         return i
 
-    def _copy_out(self, q: int) -> list:
-        """All transitions of the non-clone state ``q`` as one explicit list."""
-        edges = self._out[q] if q < len(self._out) else None
-        chain = self._text[q + 2]
-        if edges is None:
-            return [chain, q + 1]
-        edges = edges.copy()
-        i = self._slot(edges, chain)
-        edges.insert((len(edges) >> 1) + i, q + 1)
-        edges.insert(i, chain)
-        return edges
-
     # -- construction ----------------------------------------------------------
 
     def add_letter(self, c) -> int:
@@ -216,7 +204,17 @@ class OnlineSuffixAutomaton:
         clone = ~k
         clone_len.append(length)
         if q >= 0:
-            clone_out.append(self._copy_out(q))
+            # the clone's transitions are q's, its chain edge made explicit
+            chain = text[q + 2]
+            edges = out[q] if q < len(out) else None
+            if edges is None:
+                edges = [chain, q + 1]
+            else:
+                edges = edges.copy()
+                i = self._slot(edges, chain)
+                edges.insert((len(edges) >> 1) + i, q + 1)
+                edges.insert(i, chain)
+            clone_out.append(edges)
             clone_link.append(link[q])
             link[q] = clone
         else:

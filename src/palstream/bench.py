@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automaton import ChildStorageMode
 from .detector import DetectorSummary, PalindromeDetector
@@ -117,16 +117,15 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
     Each repetition derives its own input seed.  The totals of every
     repetition are checked against the 4n loop and 2n state bounds on the
     spot; a violation is an engine bug, not a measurement artifact, and
-    raises.
+    raises.  paper_example always runs its one word, whatever the sizes.
     """
-    cfg.validate()
-    mode = ChildStorageMode(cfg.mode)
-    sizes = cfg.sizes
     if cfg.generator == "paper_example":
         from .selftest import REFERENCE_WORD
-        sizes = (len(REFERENCE_WORD),)
+        cfg = replace(cfg, sizes=(len(REFERENCE_WORD),))
+    cfg.validate()
+    mode = ChildStorageMode(cfg.mode)
     results = []
-    for n in sizes:
+    for n in cfg.sizes:
         times = []
         for rep in range(cfg.repetitions):
             symbols = make_input(cfg.generator, cfg.sigma, n,

@@ -1,0 +1,32 @@
+"""Helpers shared by several test modules, so that no test module imports
+another."""
+
+from itertools import product
+
+
+def all_strings(alphabet, max_len):
+    for length in range(1, max_len + 1):
+        for letters in product(alphabet, repeat=length):
+            yield "".join(letters)
+
+
+def random_tokens(n, rng):
+    vocab = [f"t{k:03d}" for k in range(256)]
+    return rng.choices(vocab, k=n)
+
+
+class FailsOnCall:
+    """A symbol that equals nothing: its ``__eq__`` returns False ``k - 1``
+    times, then raises ArithmeticError.  ``calls`` counts the comparisons."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+
+    def __eq__(self, other):
+        self.calls += 1
+        if self.calls == self.k:
+            raise ArithmeticError(f"comparison {self.k} fails")
+        return False
+
+    __hash__ = object.__hash__

@@ -17,7 +17,9 @@ import palstream
 from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
 from palstream.bench import BenchConfig, run_config
 from palstream.cli import main
+import tracing
 
+PERFBENCH = Path(tracing.__file__).parent
 REFERENCE_WORD = "abadaadcaa"
 EXPECTED_RECORDS = [
     {"n": 1, "max_pal": 1, "min_unique_suff": 1, "new": "1-1",
@@ -439,6 +441,13 @@ class TestBench:
         assert record["n"] == 10
         assert record["distinct_count"] == 8
 
+    def test_paper_example_ignores_sizes(self, runner):
+        result = runner.invoke(
+            main, ["bench", "--gen", "paper_example", "--sizes", "5,3"])
+        assert result.exit_code == 0, result.stderr
+        [record] = jsonl_records(result.stdout)
+        assert record["n"] == 10
+
     def test_unordered_mode(self, runner):
         result = runner.invoke(
             main, ["bench", "--gen", "random", "--sigma", "16",
@@ -614,26 +623,42 @@ class TestTracedCli:
     which forwards only positional arguments and relies on `run` calling
     `feed`; its records and spans must stay those of `palstream run`."""
 
-    def test_records_and_spans(self, runner, tmp_path, monkeypatch):
-        perfbench = Path(__file__).parents[1] / "perfbench"
-        monkeypatch.syspath_prepend(str(perfbench))
-        from tracing import Tracer
-
+    def test_records_and_spans(self, runner, tmp_path):
         data = tmp_path / "word.txt"
         data.write_bytes(REFERENCE_WORD.encode())
         spans = tmp_path / "spans.bin"
         proc = subprocess.run(
-            [sys.executable, str(perfbench / "traced_cli.py"), str(spans),
+            [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
              "--format", "jsonl", str(data)],
             capture_output=True, env=cli_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         untraced = runner.invoke(main, ["run", "--format", "jsonl", str(data)])
         assert proc.stdout.decode() == untraced.stdout
-        tracer, _ = Tracer.load(spans)
+        tracer, _ = tracing.Tracer.load(spans)
         counts = {name: row[0] for name, row in tracer.totals().items()}
         for name in ("detector.push", "manacher.odd.add_letter",
                      "manacher.even.add_letter", "ukkonen.add_letter"):
             assert counts[name] == len(REFERENCE_WORD), name
+
+
+class TestCliRss:
+    """perfbench/cli_rss.py launches the `palstream run` passes behind
+    setup_s, cli_sym_per_s and cli_peak_rss_mb; it must pass the output
+    through untouched and leave a peak RSS in its file."""
+
+    def test_output_and_peak(self, runner, tmp_path):
+        data = tmp_path / "word.txt"
+        data.write_bytes(REFERENCE_WORD.encode())
+        rss = tmp_path / "rss.txt"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "cli_rss.py"), str(rss),
+             "palstream.cli", "run", "--format", "jsonl", str(data)],
+            capture_output=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        untraced = runner.invoke(main, ["run", "--format", "jsonl", str(data)])
+        assert proc.stdout.decode() == untraced.stdout
+        assert int(rss.read_text()) > 0
 
 
 class TestImports:

@@ -1,8 +1,6 @@
 """Tests for the combined per-symbol palindrome detector."""
 
 import random
-from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +10,8 @@ from palstream import (ChildStorageMode, DetectorSummary, PalindromeDetector,
                        PerfCounters, StepReport)
 from palstream import oracle
 from palstream.selftest import oracle_failures
-from test_differential import random_tokens
-from test_manacher import FailsOnCall
+from support import FailsOnCall, all_strings, random_tokens
+from tracing import Tracer, trace_detector
 
 REFERENCE_WORD = "abadaadcaa"
 EXPECTED_MAX_PAL = [1, 1, 3, 1, 3, 2, 4, 1, 1, 2]
@@ -28,12 +26,6 @@ EXPECTED_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8, 8, 8]
 def run(w, mode=ChildStorageMode.ORDERED):
     det = PalindromeDetector(mode)
     return det, list(det.feed(w))
-
-
-def all_strings(alphabet, max_len):
-    for length in range(1, max_len + 1):
-        for letters in product(alphabet, repeat=length):
-            yield "".join(letters)
 
 
 class TestReferenceWord:
@@ -315,10 +307,7 @@ class TestTracingHooks:
     """The benchmark's traced run wraps the detector's structures by
     attribute name; these are the names and methods it relies on."""
 
-    def test_traced_detector_reports_and_spans(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-        from tracing import Tracer, trace_detector
-
+    def test_traced_detector_reports_and_spans(self):
         _, untraced = run(REFERENCE_WORD)
         tracer = Tracer()
         push = trace_detector(PalindromeDetector(), tracer)

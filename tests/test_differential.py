@@ -9,24 +9,17 @@ the words below, so they can be far longer than the cubic oracle allows.
 import random
 import string
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 from palstream import ChildStorageMode, PalindromeDetector
+from reference import expected_reports
+from support import random_tokens
 
 N = 100_000
 
 
-@pytest.fixture
-def expected_reports(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    from reference import expected_reports
-
-    return expected_reports
-
-
-def assert_matches_reference(symbols, expected_reports, modes=tuple(ChildStorageMode)):
+def assert_matches_reference(symbols, modes=tuple(ChildStorageMode)):
     """Push ``symbols`` through one detector per mode, comparing every
     report with the reference's tuple of the same step."""
     detectors = [PalindromeDetector(mode) for mode in modes]
@@ -54,11 +47,6 @@ def abx_blocks(n, rng):
     return "".join("ab" + x for x in xs)[:n]
 
 
-def random_tokens(n, rng):
-    vocab = [f"t{k:03d}" for k in range(256)]
-    return rng.choices(vocab, k=n)
-
-
 LONG_WORDS = {
     "fibonacci": lambda: fibonacci_word(N),
     "thue_morse": lambda: thue_morse(N),
@@ -74,25 +62,23 @@ LONG_WORDS = {
 
 class TestLongWords:
     @pytest.mark.parametrize("name", list(LONG_WORDS))
-    def test_every_report_matches(self, name, expected_reports):
-        assert_matches_reference(LONG_WORDS[name](), expected_reports)
+    def test_every_report_matches(self, name):
+        assert_matches_reference(LONG_WORDS[name]())
 
 
 class TestPaddingSlots:
     """The text buffer starts with ``None`` (slot 0) and a private boundary
     object (slot 1); neither may ever equal an input symbol."""
 
-    def test_none_is_an_ordinary_symbol(self, expected_reports):
+    def test_none_is_an_ordinary_symbol(self):
         for length in range(1, 13):
             for word in product((None, 0), repeat=length):
-                assert_matches_reference(list(word), expected_reports,
-                                         (ChildStorageMode.UNORDERED,))
+                assert_matches_reference(list(word), (ChildStorageMode.UNORDERED,))
 
-    def test_fresh_objects_are_ordinary_symbols(self, expected_reports):
+    def test_fresh_objects_are_ordinary_symbols(self):
         rng = random.Random(13)
         for sigma in (1, 2, 3, 8):
             pool = [object() for _ in range(sigma)]
             for _ in range(20):
                 word = rng.choices(pool, k=rng.randint(1, 200))
-                assert_matches_reference(word, expected_reports,
-                                         (ChildStorageMode.UNORDERED,))
+                assert_matches_reference(word, (ChildStorageMode.UNORDERED,))

@@ -1,7 +1,6 @@
 """Tests for the online maximal suffix-palindrome structure."""
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from palstream import OnlineManacher
 from palstream.oracle import naive_max_suffix_palindrome
+from support import FailsOnCall, all_strings
 
 REFERENCE_WORD = "abadaadcaa"
 # values observed after each symbol of the reference word, per parity
@@ -17,23 +17,6 @@ EXPECTED_EVEN = [0, 0, 0, 0, 0, 2, 4, 0, 0, 2]
 # final radii at text positions 2..11 (the input positions)
 EXPECTED_RADII_ODD = (0, 1, 0, 1, 0, 0, 0, 0, 0, 0)
 EXPECTED_RADII_EVEN = (0, 0, 0, 0, 2, 0, 0, 0, 1, 0)
-
-
-class FailsOnCall:
-    """A symbol that equals nothing: its ``__eq__`` returns False ``k - 1``
-    times, then raises ArithmeticError.  ``calls`` counts the comparisons."""
-
-    def __init__(self, k):
-        self.k = k
-        self.calls = 0
-
-    def __eq__(self, other):
-        self.calls += 1
-        if self.calls == self.k:
-            raise ArithmeticError(f"comparison {self.k} fails")
-        return False
-
-    __hash__ = object.__hash__
 
 
 def feed(delta, w):
@@ -49,12 +32,6 @@ def radii_of(m):
     """Radii at text positions 1..n (position 1 is the boundary).  Entries at
     or right of the center ``m._i`` are work in progress; the rest are final."""
     return tuple(m._rad[1:len(m._text)])
-
-
-def all_strings(alphabet, max_len):
-    for length in range(1, max_len + 1):
-        for letters in product(alphabet, repeat=length):
-            yield "".join(letters)
 
 
 class TestConstruction:

@@ -1,17 +1,11 @@
 """Tests for the brute-force reference implementations themselves."""
 
 import random
-from itertools import product
 
 import pytest
 
 from palstream import oracle
-
-
-def all_strings(alphabet, max_len):
-    for length in range(1, max_len + 1):
-        for letters in product(alphabet, repeat=length):
-            yield "".join(letters)
+from support import all_strings
 
 
 class TestIsPalindrome:

@@ -8,26 +8,14 @@ compared with the linear-time reference of ``perfbench/reference.py`` over
 the labels.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from palstream import ChildStorageMode, PalindromeDetector
+from reference import expected_reports
 
-
-def _load_expected_reports():
-    path = Path(__file__).parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.expected_reports
-
-
-expected_reports = _load_expected_reports()
 
 POOLS = {
     ChildStorageMode.ORDERED: (0, 1, 1.0, True, False, 2, 2.0),

@@ -6,7 +6,6 @@ test file name, and the tests that still apply keep their names, so their
 ids stay stable; the benchmark also still calls this layer `ukkonen`."""
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from palstream import ChildStorageMode, OnlineSuffixAutomaton
 from palstream.oracle import naive_min_unique_suffix
+from support import all_strings
 
 REFERENCE_WORD = "abadaadcaa"
 EXPECTED_MIN_UNIQUE = [1, 1, 2, 1, 2, 2, 3, 1, 2, 3]
@@ -26,12 +26,6 @@ def build(w, mode=ChildStorageMode.ORDERED):
         automaton.add_letter(c)
         values.append(automaton.min_unique_suff())
     return automaton, values
-
-
-def all_strings(alphabet, max_len):
-    for length in range(1, max_len + 1):
-        for letters in product(alphabet, repeat=length):
-            yield "".join(letters)
 
 
 # -- readers of the layout documented on OnlineSuffixAutomaton ---------------
