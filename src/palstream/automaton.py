@@ -41,7 +41,10 @@ class PerfCounters:
 
     nodes: int  # automaton states, root included
     suffix_link_hops: int
-    child_probes: int  # symbol comparisons spent locating transitions
+    #: Symbol comparisons spent locating transitions, chain edges included.
+    #: Exact in unordered mode; in ordered mode an upper bound of
+    #: ``m.bit_length() + 1`` per search among ``m`` symbols.
+    child_probes: int
 
 
 class OnlineSuffixAutomaton:
@@ -96,11 +99,11 @@ class OnlineSuffixAutomaton:
     def _slot(self, edges: list, c) -> int:
         """Index of ``c`` among the symbols of ``edges``, or where it goes.
 
-        Probe counting mirrors the comparison cost of the storage mode: the
-        steps of a binary search plus a final equality test when ordered, one
-        per element touched by the linear scan when unordered.  Both searches
-        run in C, so the count is arithmetic.  :meth:`add_letter`'s walk
-        inlines this search and its count.
+        Both searches run in C, so the probe count is arithmetic.  Unordered,
+        it is exact: one comparison per element the scan touches.  Ordered, it
+        is an upper bound, ``m.bit_length() + 1``: the most steps a bisection
+        of ``m`` symbols takes, plus a final equality test.  :meth:`add_letter`'s
+        walk inlines this search and its count.
         """
         m = len(edges) >> 1
         if self._ordered:
@@ -160,16 +163,18 @@ class OnlineSuffixAutomaton:
                 if ordered:
                     probes += m.bit_length() + 1
                     i = bisect_left(edges, c, 0, m)
+                    if i < m and edges[i] == c:
+                        q = edges[m + i]
+                        break
                 else:
-                    try:
+                    try:  # list.index matches by identity or ==; no second test
                         i = edges.index(c, 0, m)
                         probes += i + 1
+                        q = edges[m + i]
+                        break
                     except ValueError:
                         i = m
                         probes += m
-                if i < m and edges[i] == c:
-                    q = edges[m + i]
-                    break
                 edges.insert(m + i, cur)
                 edges.insert(i, c)
                 hops += 1

@@ -86,9 +86,9 @@ class PalindromeDetector:
 
     def __init__(self, mode: ChildStorageMode | str = ChildStorageMode.ORDERED) -> None:
         self._tree = OnlineSuffixAutomaton(mode)
-        self._text = self._tree._text
-        self._odd = OnlineManacher._over(self._text, 0)
-        self._even = OnlineManacher._over(self._text, 1)
+        text = self._tree._text
+        self._odd = OnlineManacher._over(text, 0)
+        self._even = OnlineManacher._over(text, 1)
         self._n = 0
         self._distinct = 0
         self._failure: BaseException | None = None

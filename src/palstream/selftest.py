@@ -4,19 +4,14 @@ plus a bounded exhaustive comparison against the brute-force oracles."""
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import oracle
 from .automaton import ChildStorageMode
-from .detector import PalindromeDetector
+from .detector import PalindromeDetector, StepReport
 
-__all__ = [
-    "REFERENCE_WORD",
-    "golden_example_failures",
-    "oracle_failures",
-    "exhaustive_sweep",
-    "run",
-]
+__all__ = ["REFERENCE_WORD", "golden_example_failures", "oracle_failures",
+           "exhaustive_sweep", "run"]
 
 # Hand-checked reference trace for one word; every row below was derived by
 # stepping the definitions by hand and is frozen here verbatim.
@@ -29,54 +24,59 @@ REFERENCE_SPANS = ((1, 1), (2, 2), (1, 3), (4, 4), (3, 5),
                    (5, 6), (4, 7), (8, 8), None, None)
 
 
+def _check(w: Sequence, rows: Sequence[tuple], modes: Iterable) -> list[str]:
+    """Push ``w`` through one detector per mode, compare each report with its
+    expected row of ``StepReport`` fields and check the end-of-run counter
+    bounds.  Returns one message per differing field or broken bound."""
+    problems = []
+    for mode in modes:
+        det = PalindromeDetector(mode)
+        name = det.mode.value
+        for k, (c, want) in enumerate(zip(w, rows), 1):
+            got = det.push(c)
+            if got != want:
+                problems.extend(
+                    f"{w!r} step {k} ({name}): {field} = {g!r}, expected {e!r}"
+                    for field, g, e in zip(StepReport._fields, got, want) if g != e)
+        problems.extend(f"{w!r} ({name}): {p}"
+                        for p in det.finish().bound_problems())
+    return problems
+
+
 def golden_example_failures(
     mode: ChildStorageMode | str = ChildStorageMode.ORDERED,
 ) -> list[str]:
-    """Run the reference word and diff every row against the frozen trace.
+    """Run the reference word and diff every row against the frozen trace,
+    then check the end-of-run counter bounds.
 
     The closure length and the distinct count follow from the frozen rows:
     ``2k - max_pal`` after ``k`` symbols, and the number of spans so far.
     """
-    det = PalindromeDetector(mode)
-    problems = []
+    rows = []
     count = 0
-    for step, c in enumerate(REFERENCE_WORD):
-        report = det.push(c)
-        if REFERENCE_SPANS[step] is not None:
+    for k, (odd, even, longest, unique, span) in enumerate(zip(
+            REFERENCE_MAX_PAL_ODD, REFERENCE_MAX_PAL_EVEN, REFERENCE_MAX_PAL,
+            REFERENCE_MIN_UNIQUE, REFERENCE_SPANS), 1):
+        if span is not None:
             count += 1
-        expected = {
-            "max_pal_odd": REFERENCE_MAX_PAL_ODD[step],
-            "max_pal_even": REFERENCE_MAX_PAL_EVEN[step],
-            "max_pal": REFERENCE_MAX_PAL[step],
-            "min_unique_suff": REFERENCE_MIN_UNIQUE[step],
-            "new_palindrome": REFERENCE_SPANS[step],
-            "closure_len": 2 * (step + 1) - REFERENCE_MAX_PAL[step],
-            "distinct_count": count,
-        }
-        for name, want in expected.items():
-            got = getattr(report, name)
-            if got != want:
-                problems.append(
-                    f"step {step + 1}: {name} = {got!r}, expected {want!r}")
-    return problems
+        rows.append((k, odd, even, longest, unique, span, 2 * k - longest, count))
+    return _check(REFERENCE_WORD, rows, (mode,))
 
 
 def oracle_failures(w: Sequence) -> list[str]:
     """Compare every per-step field of one detector per storage mode against
     the brute-force oracles on one input, plus the end-of-run counter bounds.
 
-    Returns human-readable mismatch descriptions; empty means the input
-    passed.
+    Returns human-readable mismatch descriptions; empty means ``w`` passed.
     """
     problems = []
-    spans = oracle.naive_distinct_subpalindromes(w)
     first_end: dict[int, tuple[int, int]] = {}
-    for span in spans.values():
+    for span in oracle.naive_distinct_subpalindromes(w).values():
         if span[1] in first_end:
             problems.append(f"{w!r}: two palindromes first ending at {span[1]}")
         first_end[span[1]] = span
 
-    detectors = [PalindromeDetector(mode) for mode in ChildStorageMode]
+    rows = []
     count = 0
     for k in range(1, len(w) + 1):
         prefix = w[:k]
@@ -85,30 +85,10 @@ def oracle_failures(w: Sequence) -> list[str]:
             count += 1
         odd = oracle.naive_max_suffix_palindrome(prefix, 0)
         even = oracle.naive_max_suffix_palindrome(prefix, 1)
-        expected = (
-            ("max_pal_odd", odd),
-            ("max_pal_even", even),
-            ("max_pal", max(odd, even)),
-            ("min_unique_suff", oracle.naive_min_unique_suffix(prefix)),
-            ("new_palindrome", span),
-            ("closure_len", len(oracle.naive_palindromic_closure(prefix))),
-            ("distinct_count", count),
-        )
-        for det in detectors:
-            report = det.push(w[k - 1])
-            for name, want in expected:
-                got = getattr(report, name)
-                if want != got:
-                    problems.append(f"{w!r} step {k} ({det.mode.value}): "
-                                    f"{name} = {got!r}, oracle says {want!r}")
-            if report.distinct_count > k:
-                problems.append(f"{w!r} step {k} ({det.mode.value}): "
-                                "distinct_count exceeds prefix length")
-
-    for det in detectors:
-        problems.extend(f"{w!r} ({det.mode.value}): {p}"
-                        for p in det.finish().bound_problems())
-    return problems
+        rows.append((k, odd, even, max(odd, even),
+                     oracle.naive_min_unique_suffix(prefix), span,
+                     len(oracle.naive_palindromic_closure(prefix)), count))
+    return problems + _check(w, rows, ChildStorageMode)
 
 
 def exhaustive_sweep(alphabet: str = "ab",

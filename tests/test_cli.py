@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import io
 import json
 import os
@@ -588,6 +589,7 @@ class TestSelftest:
                             lambda self: ["planted bound problem"])
         result = runner.invoke(main, ["selftest"])
         assert result.exit_code == 2
+        assert "FAIL reference example (ordered)" in result.stdout
         assert "FAIL oracle sweep" in result.stdout
         assert "planted bound problem" in result.stdout
 
@@ -598,6 +600,14 @@ class TestSelftest:
             capture_output=True, env=cli_env(), timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert b"FAIL" not in proc.stdout
+
+    def test_package_has_no_assert_statement(self):
+        # so that no check anywhere in the package vanishes under `python -O`
+        for path in sorted(Path(palstream.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert)]
+            assert lines == [], f"assert statement in {path.name} at lines {lines}"
 
 
 class TestVersion:

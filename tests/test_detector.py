@@ -107,10 +107,10 @@ class TestSmallCases:
         det = PalindromeDetector()
         for c in "abcab":
             det.push(c)
-        assert det._odd._text is det._text
-        assert det._even._text is det._text
-        assert det._tree._text is det._text
-        assert det._text[2:] == list("abcab")
+        assert det._odd._text is det._tree._text
+        assert det._even._text is det._tree._text
+        assert det._tree._text[2:] == list("abcab")
+        assert not hasattr(det, "_text")  # no second name for the buffer
 
     def test_first_report(self):
         _, reports = run("a")
