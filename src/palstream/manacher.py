@@ -7,6 +7,8 @@ appended symbol, in amortized constant time per symbol.
 
 from __future__ import annotations
 
+from array import array
+
 __all__ = ["OnlineManacher"]
 
 
@@ -30,16 +32,19 @@ class OnlineManacher:
     positions are 1-based and no palindrome reaches past the boundary at
     position 1.  An odd palindrome centered at position ``j`` with radius
     ``r`` spans ``text[j-r .. j+r]`` and an even one spans
-    ``text[j-r+1 .. j+r]``.  ``rad`` is indexed by position too; for every
-    center left of the current center it holds the final maximal radius of
-    that parity.
+    ``text[j-r+1 .. j+r]``.
 
-    The current center ``i`` is that of the maximal suffix-palindrome.  Once
-    a symbol has been added, every :meth:`add_letter` starts with
-    ``i + rad[i] == n``, ``n`` being the position of the last symbol before
-    the new one: that palindrome ends at the old text's end.  So the loop's
-    first pass would mirror ``rad[i]`` onto itself, and :meth:`add_letter`
-    only tests whether the new symbol extends it.
+    The current center ``_i`` is that of the maximal suffix-palindrome, and
+    ``_r`` is its radius.  ``_rad`` is indexed by position and holds one
+    final maximal radius for every position left of ``_i``, so
+    ``len(_rad) == _i``: a center's radius is appended once, when the center
+    is left behind.  ``_rad`` is an ``array('q')``, 8 bytes a radius:
+    CPython caches the ints up to 256 only, so a list would box every larger
+    radius in an object of its own.  Once a symbol has been added, every
+    :meth:`add_letter` starts with ``_i + _r == n``, ``n`` being the
+    position of the last symbol before the new one, so it first tests
+    whether the new symbol extends that palindrome, which touches no
+    storage.
 
     A tracker built by the constructor owns its text and appends each
     symbol to it; once :meth:`add_letter` has raised (say, in a symbol's
@@ -48,7 +53,8 @@ class OnlineManacher:
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
 
-    __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_loop_iters", "_failure")
+    __slots__ = ("delta", "_text", "_owns_text", "_rad", "_i", "_r", "_loop_iters",
+                 "_failure")
 
     def __init__(self, delta: int) -> None:
         if not isinstance(delta, int) or delta not in (0, 1):
@@ -56,8 +62,9 @@ class OnlineManacher:
         self.delta = delta
         self._text = _new_text()
         self._owns_text = True
-        self._rad = [0, 0, 0]  # zero-filled; kept addressable through n + 1
-        self._i = 2  # makes the first add_letter skip the loop cleanly
+        self._rad = array("q", (0, 0))  # padding and boundary; grown only by append
+        self._i = 2  # the first symbol's center, one past the boundary
+        self._r = 0
         self._loop_iters = 0
         self._failure: BaseException | None = None
 
@@ -79,41 +86,44 @@ class OnlineManacher:
         finishes the update or advances it, which is what keeps the total loop
         work over any n symbols bounded by a small multiple of n.
         """
-        text, rad, delta = self._text, self._rad, self.delta
+        text, delta = self._text, self.delta
         if self._owns_text:
             if self._failure is not None:
                 raise RuntimeError("tracker unusable: an earlier add_letter failed "
                                    f"with {self._failure!r}") from self._failure
             text.append(c)
-        n, i = len(text) - 2, self._i  # n: the last position before c, text[n + 1]
-        r = rad[i]
-        s = i - r + delta  # start of the maximal suffix-palindrome so far
-        rad.append(0)  # keeps index n + 2 valid for the next call
-        iters = 0
+        n = len(text) - 2  # the last position before c, text[n + 1]
+        i, r = self._i, self._r
+        if i > n:  # the first symbol: nothing before it to compare with
+            return 1 - delta
         try:
-            if i <= n:  # not the first symbol, so i + r == n: the loop's first pass
-                iters = 1
-                if text[s - 1] == c:
-                    rad[i] = r + 1  # the suffix-palindrome extends over c
-                    self._loop_iters += 1
-                    return 2 * r + 3 - delta
-                i += 1
-            while i + rad[i] <= n:
+            if text[i - r - 1 + delta] == c:
+                self._r = r + 1  # the suffix-palindrome extends over c
+                self._loop_iters += 1
+                return 2 * r + 3 - delta
+            rad = self._rad
+            rad.append(r)  # the old center's radius is final
+            iters = 1
+            mirror = 2 * i  # i + r == n: position k reflects onto mirror - k
+            i += 1
+            while i <= n:
                 iters += 1
-                r = rad[s + n - i - delta]  # mirrored center inside the suffix-palindrome
+                r = rad[mirror - i]
                 if r > n - i:
                     r = n - i
-                rad[i] = r
                 if i + r == n and text[i - r - 1 + delta] == c:
-                    rad[i] = r + 1  # the suffix-palindrome extends over c
+                    r += 1  # the suffix-palindrome extends over c
                     break
+                rad.append(r)
                 i += 1
+            else:
+                r = 0  # centered at c: c alone (odd) or empty (even)
         except BaseException as exc:
             self._failure = exc
             raise
-        self._i = i
+        self._i, self._r = i, r
         self._loop_iters += iters
-        return 2 * rad[i] + 1 - delta
+        return 2 * r + 1 - delta
 
     def max_pal(self) -> int:
         """Length of the maximal tracked-parity palindromic suffix.
@@ -123,7 +133,7 @@ class OnlineManacher:
         """
         if len(self._text) < 3:
             raise RuntimeError("max_pal() queried before any symbol was added")
-        return 2 * self._rad[self._i] + 1 - self.delta
+        return 2 * self._r + 1 - self.delta
 
     @property
     def loop_iterations(self) -> int:
