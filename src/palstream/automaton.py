@@ -61,11 +61,11 @@ class OnlineSuffixAutomaton:
       ``i + 1``.  This chain edge is read from the text and never stored; it
       is solid (``len(i) + 1 == len(i + 1)``), so it is never redirected.
     - Every other transition of ``i`` (or clone ``k``) is in ``_out[i]``
-      (``_clone_out[k]``): ``None``, or one list of ``m`` symbols followed by
-      their ``m`` targets.  Ordered mode keeps the symbols sorted and finds
-      them by bisection; unordered mode appends and scans.  ``_out`` ends at
-      the last state that has such a list, so a text whose every transition
-      is a chain edge (``aaaa...``) stores none.
+      (``_clone_out[k]``): one list of ``m`` symbols, then their ``m`` targets.
+      Ordered mode keeps the symbols sorted and bisects; unordered mode
+      appends and scans.  ``_out`` is a dict holding only the prefix states
+      that have a list: on the texts measured, the root and at most 19
+      others.  Every clone has a list, so ``_clone_out`` is a list.
 
     The automaton owns its text, ``[None, boundary, s1, s2, ...]`` as
     :class:`~palstream.manacher.OnlineManacher` lays it out, so symbol
@@ -85,7 +85,7 @@ class OnlineSuffixAutomaton:
         self._ordered = self.mode is ChildStorageMode.ORDERED
         self._text = _new_text()
         self._link = array("q", [-1])
-        self._out: list = [None]
+        self._out: dict[int, list] = {}
         # slot 0 is unused, so that no clone is ~0 == -1
         self._clone_len = array("q", [0])
         self._clone_link = array("q", [0])
@@ -147,11 +147,7 @@ class OnlineSuffixAutomaton:
                     if text[p + 2] == c:
                         q = p + 1
                         break
-                    try:
-                        edges = out[p]
-                    except IndexError:  # _out grows only as far as it is used
-                        out.extend([None] * (p + 1 - len(out)))
-                        edges = None
+                    edges = out.get(p)
                     if edges is None:
                         out[p] = [c, cur]
                         hops += 1
@@ -211,7 +207,7 @@ class OnlineSuffixAutomaton:
         if q >= 0:
             # the clone's transitions are q's, its chain edge made explicit
             chain = text[q + 2]
-            edges = out[q] if q < len(out) else None
+            edges = out.get(q)
             if edges is None:
                 edges = [chain, q + 1]
             else:

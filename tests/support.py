@@ -10,6 +10,13 @@ def all_strings(alphabet, max_len):
             yield "".join(letters)
 
 
+def fibonacci_word(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
 def random_tokens(n, rng):
     vocab = [f"t{k:03d}" for k in range(256)]
     return rng.choices(vocab, k=n)

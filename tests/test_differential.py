@@ -14,7 +14,7 @@ import pytest
 
 from palstream import ChildStorageMode, PalindromeDetector
 from reference import expected_reports
-from support import random_tokens
+from support import fibonacci_word, random_tokens
 
 N = 100_000
 
@@ -28,13 +28,6 @@ def assert_matches_reference(symbols, modes=tuple(ChildStorageMode)):
             got = det.push(c)
             assert got == want, (det.mode.value, got, want)
     assert [det.n for det in detectors] == [len(symbols)] * len(detectors)
-
-
-def fibonacci_word(n):
-    a, b = "a", "ab"
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
 
 
 def thue_morse(n):

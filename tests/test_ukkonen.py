@@ -6,14 +6,16 @@ test file name, and the tests that still apply keep their names, so their
 ids stay stable; the benchmark also still calls this layer `ukkonen`."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import palstream.automaton
 from palstream import ChildStorageMode, OnlineSuffixAutomaton
 from palstream.oracle import naive_min_unique_suffix
-from support import all_strings
+from support import all_strings, fibonacci_word
 
 REFERENCE_WORD = "abadaadcaa"
 EXPECTED_MIN_UNIQUE = [1, 1, 2, 1, 2, 2, 3, 1, 2, 3]
@@ -49,12 +51,7 @@ def link(a, s):
 def explicit(a, s):
     """Explicit transitions of state s as (symbol, target) pairs, in storage
     order."""
-    if s >= 0:
-        edges = a._out[s] if s < len(a._out) else None
-    else:
-        edges = a._clone_out[~s]
-    if edges is None:
-        return []
+    edges = a._out.get(s, []) if s >= 0 else a._clone_out[~s]
     m = len(edges) // 2
     return list(zip(edges[:m], edges[m:]))
 
@@ -185,8 +182,18 @@ class TestStructure:
         assert list(automaton._link) == [-1, 0, ~1, ~1]
         assert list(automaton._clone_len) == [0, 1]
         assert list(automaton._clone_link) == [0, 0]
-        assert automaton._out == [["b", ~1]]
+        assert automaton._out == {0: ["b", ~1]}
         assert automaton._clone_out == [None, ["b", 3]]
+        # "ababb": the second b splits state 2 ("ab"), which stores the
+        # transition on b to 5, so the clone copies that list and adds
+        # state 2's chain edge on a to 3
+        clone_edges = {ChildStorageMode.ORDERED: ["a", "b", 3, 5],
+                       ChildStorageMode.UNORDERED: ["b", "a", 5, 3]}
+        for mode, edges in clone_edges.items():
+            automaton = OnlineSuffixAutomaton(mode)
+            assert [automaton.add_letter(c) for c in "ababb"] == [1, 1, 2, 3, 2]
+            assert automaton._out == {0: ["b", ~1], 2: ["b", 5]}
+            assert automaton._clone_out == [None, edges]
 
     def test_accepts_exactly_the_substrings(self):
         for w in all_strings("ab", 10):
@@ -284,3 +291,35 @@ class TestModeEquivalence:
                 assert link(a_ord, s) == link(a_uno, s)
                 assert length(a_ord, s) == length(a_uno, s)
                 assert transitions(a_ord, s) == transitions(a_uno, s)
+
+
+class TestMemory:
+    """Bytes the automaton still holds after 20,000 symbols, per symbol.
+
+    Every transition of ``a``^n is a chain edge, so it measures states and
+    suffix links alone.  The Fibonacci word stores transition lists at 19
+    prefix states spread over the whole text; a structure sized by the
+    highest of them pays for every prefix state below it.  Measured: 17.08
+    on a^n and 17.15 on the Fibonacci word in both modes; the limit, a^n
+    plus 1.0, leaves 0.93 headroom.  A list slot per prefix state up to the
+    highest with transitions read 21.48 on the Fibonacci word.
+    """
+
+    @staticmethod
+    def bytes_per_symbol(word, mode):
+        tracemalloc.start()
+        try:
+            a = OnlineSuffixAutomaton(mode)
+            for c in word:
+                a.add_letter(c)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        source = tracemalloc.Filter(True, palstream.automaton.__file__)
+        held = snapshot.filter_traces([source])
+        return sum(stat.size for stat in held.statistics("filename")) / len(word)
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_fibonacci_costs_no_more_than_unary(self, mode):
+        unary = self.bytes_per_symbol("a" * 20_000, mode)
+        assert self.bytes_per_symbol(fibonacci_word(20_000), mode) <= unary + 1.0
