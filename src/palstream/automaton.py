@@ -10,12 +10,11 @@ more than that state's length is the shortest unique suffix.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .manacher import _new_text
+from .manacher import _MAX_SYMBOLS, _new_ints, _new_text
 
 __all__ = ["ChildStorageMode", "PerfCounters", "OnlineSuffixAutomaton"]
 
@@ -56,7 +55,8 @@ class OnlineSuffixAutomaton:
       ``i`` (the root is 0) and its length is ``i``.  Clone ``k`` (k >= 1)
       is ``~k``; its length lives in ``_clone_len[k]``.  -1 is no state.
     - Suffix links live in ``_link[i]`` and ``_clone_link[k]``; the root's
-      is -1.
+      is -1.  These two arrays and ``_clone_len`` are built by
+      :func:`~palstream.manacher._new_ints`, 4 bytes a value.
     - State ``i``'s transition on the text's symbol ``i + 1`` leads to
       ``i + 1``.  This chain edge is read from the text and never stored; it
       is solid (``len(i) + 1 == len(i + 1)``), so it is never redirected.
@@ -72,7 +72,10 @@ class OnlineSuffixAutomaton:
     ``i + 1`` is ``text[i + 2]``.  :meth:`add_letter` appends each symbol
     before anything else, and the detector's two trackers read the same
     list.  Once it has raised (say, on symbols that do not compare), every
-    later call raises :class:`RuntimeError` chained to that failure.
+    later call raises :class:`RuntimeError` chained to that failure.  The
+    text holds at most ``_MAX_SYMBOLS`` (2**31 - 1) symbols, so that every
+    state fits in 4 bytes: one more raises :class:`OverflowError` ("symbol
+    limit reached: at most 2147483647 symbols") before anything changes.
 
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
@@ -84,11 +87,11 @@ class OnlineSuffixAutomaton:
         self.mode = ChildStorageMode(mode)
         self._ordered = self.mode is ChildStorageMode.ORDERED
         self._text = _new_text()
-        self._link = array("q", [-1])
+        self._link = _new_ints(-1)
         self._out: dict[int, list] = {}
         # slot 0 is unused, so that no clone is ~0 == -1
-        self._clone_len = array("q", [0])
-        self._clone_link = array("q", [0])
+        self._clone_len = _new_ints(0)
+        self._clone_link = _new_ints(0)
         self._clone_out: list = [None]
         self._hops = 0
         self._probes = 0
@@ -132,9 +135,11 @@ class OnlineSuffixAutomaton:
             raise RuntimeError("automaton unusable: an earlier add_letter failed "
                                f"with {self._failure!r}") from self._failure
         text = self._text
+        cur = len(text) - 1  # the new state, and its length
+        if cur > _MAX_SYMBOLS:
+            raise OverflowError(f"symbol limit reached: at most {_MAX_SYMBOLS} symbols")
         text.append(c)
         try:
-            cur = len(text) - 2  # the new state, and its length
             link, out, ordered = self._link, self._out, self._ordered
             # The walk counts its probes and hops in these locals and adds
             # them to the totals once it ends.  It searches each state's list
@@ -186,16 +191,18 @@ class OnlineSuffixAutomaton:
             if len_p + 1 == (q if q >= 0 else clone_len[~q]):
                 link.append(q)
             else:
-                link.append(self._clone(p, q, c, len_p + 1))
+                link.append(self._clone(p, q, c, len_p + 1, edges, m + i))
             return len_p + 2
         except BaseException as exc:
             self._failure = exc
             raise
 
-    def _clone(self, p: int, q: int, c, length: int) -> int:
+    def _clone(self, p: int, q: int, c, length: int, p_edges: list, target: int) -> int:
         """Split ``q`` for the new symbol ``c``: a clone of length ``length``
         takes over the transitions on ``c`` into ``q`` from ``p`` and the
-        states on ``p``'s suffix path.  Returns the clone."""
+        states on ``p``'s suffix path.  ``p``'s transition is
+        ``p_edges[target]``, where :meth:`add_letter`'s walk found it.
+        Returns the clone."""
         text, link, out = self._text, self._link, self._out
         clone_len, clone_link, clone_out = self._clone_len, self._clone_link, self._clone_out
         k = len(clone_len)
@@ -222,6 +229,9 @@ class OnlineSuffixAutomaton:
             clone_out.append(clone_out[~q].copy())
             clone_link.append(clone_link[~q])
             clone_link[~q] = clone
+        p_edges[target] = clone
+        self._hops += 1
+        p = link[p] if p >= 0 else clone_link[~p]
         while p != -1:
             if p >= 0:
                 self._probes += 1

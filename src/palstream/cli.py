@@ -154,6 +154,9 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     except _ReadError as exc:
         click.echo(f"error: failed reading input: {exc}", err=True)
         sys.exit(1)
+    except OverflowError as exc:  # the text is full; the records before it stand
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     except OSError as exc:
         _discard_stdout()
         click.echo(f"error: failed writing output: {exc}", err=True)

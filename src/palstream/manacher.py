@@ -11,6 +11,21 @@ from array import array
 
 __all__ = ["OnlineManacher"]
 
+#: The most symbols one text holds.  Every int the trackers and the suffix
+#: automaton store (a radius, a state, a clone's length) is then below
+#: 2**31 in magnitude, so it fits the 4 bytes of a :func:`_new_ints` item.
+_MAX_SYMBOLS = 2**31 - 1
+
+
+def _new_ints(*values: int) -> array:
+    """A growable array of ``values``, 4 bytes an item.
+
+    CPython caches the ints up to 256 only, so a list would box every larger
+    value in an object of its own.  Storing a value outside the 4-byte range
+    raises :class:`OverflowError`; it is never truncated.
+    """
+    return array("i", values)
+
 
 def _new_text() -> list:
     """An empty symbol buffer: ``[None, boundary]``, then one slot per symbol.
@@ -38,9 +53,8 @@ class OnlineManacher:
     ``_r`` is its radius.  ``_rad`` is indexed by position and holds one
     final maximal radius for every position left of ``_i``, so
     ``len(_rad) == _i``: a center's radius is appended once, when the center
-    is left behind.  ``_rad`` is an ``array('q')``, 8 bytes a radius:
-    CPython caches the ints up to 256 only, so a list would box every larger
-    radius in an object of its own.  Once a symbol has been added, every
+    is left behind.  ``_rad`` is built by :func:`_new_ints`, 4 bytes a
+    radius.  Once a symbol has been added, every
     :meth:`add_letter` starts with ``_i + _r == n``, ``n`` being the
     position of the last symbol before the new one, so it first tests
     whether the new symbol extends that palindrome, which touches no
@@ -48,7 +62,10 @@ class OnlineManacher:
 
     A tracker built by the constructor owns its text and appends each
     symbol to it; once :meth:`add_letter` has raised (say, in a symbol's
-    ``__eq__``) every later call raises :class:`RuntimeError`.
+    ``__eq__``) every later call raises :class:`RuntimeError`.  It holds at
+    most ``_MAX_SYMBOLS`` (2**31 - 1) symbols: one more raises
+    :class:`OverflowError` ("symbol limit reached: at most 2147483647
+    symbols") and leaves the tracker as it was.
 
     Single-writer: one mutator at a time; queries must not overlap a mutation.
     """
@@ -62,7 +79,7 @@ class OnlineManacher:
         self.delta = delta
         self._text = _new_text()
         self._owns_text = True
-        self._rad = array("q", (0, 0))  # padding and boundary; grown only by append
+        self._rad = _new_ints(0, 0)  # padding and boundary; grown only by append
         self._i = 2  # the first symbol's center, one past the boundary
         self._r = 0
         self._loop_iters = 0
@@ -91,6 +108,9 @@ class OnlineManacher:
             if self._failure is not None:
                 raise RuntimeError("tracker unusable: an earlier add_letter failed "
                                    f"with {self._failure!r}") from self._failure
+            if len(text) - 1 > _MAX_SYMBOLS:
+                raise OverflowError("symbol limit reached: "
+                                    f"at most {_MAX_SYMBOLS} symbols")
             text.append(c)
         n = len(text) - 2  # the last position before c, text[n + 1]
         i, r = self._i, self._r

@@ -3,6 +3,9 @@ another."""
 
 from itertools import product
 
+import palstream.automaton
+import palstream.manacher
+
 
 def all_strings(alphabet, max_len):
     for length in range(1, max_len + 1):
@@ -15,6 +18,13 @@ def fibonacci_word(n):
     while len(b) < n:
         a, b = b, b + a
     return b[:n]
+
+
+def limit_symbols(monkeypatch, limit):
+    """Let a text hold at most ``limit`` symbols.  ``automaton.py`` imports
+    ``_MAX_SYMBOLS`` from ``manacher.py``, so both modules' names are set."""
+    for module in (palstream.manacher, palstream.automaton):
+        monkeypatch.setattr(module, "_MAX_SYMBOLS", limit)
 
 
 def random_tokens(n, rng):

@@ -18,6 +18,7 @@ import palstream
 from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
 from palstream.bench import BenchConfig, run_config
 from palstream.cli import main
+from support import limit_symbols
 import tracing
 
 PERFBENCH = Path(tracing.__file__).parent
@@ -324,6 +325,17 @@ class TestRun(RunInChildChecks):
         lines = proc.stderr.decode().splitlines()
         assert proc.returncode == 1
         assert len(lines) == 1 and lines[0].startswith("error: cannot read"), lines
+
+    @pytest.mark.parametrize("fmt", ["table", "jsonl"])
+    def test_full_text_keeps_its_records_and_is_one_error_line(self, runner,
+                                                               monkeypatch, fmt):
+        limit_symbols(monkeypatch, 5)
+        result = runner.invoke(main, ["run", "--format", fmt], input=b"abcdefg")
+        full = runner.invoke(main, ["run", "--format", fmt], input=b"abcde")
+        assert (result.exit_code, full.exit_code) == (1, 0)
+        assert result.stdout == full.stdout
+        assert len(full.stdout.splitlines()) == 5 + (fmt == "table")
+        assert result.stderr == "error: symbol limit reached: at most 5 symbols\n"
 
     def test_undecodable_tokens_are_an_input_error(self, runner):
         result = runner.invoke(main, ["run", "--tokens"], input=b"ok \xff\xfe")

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palstream import (ChildStorageMode, DetectorSummary, PalindromeDetector,
-                       PerfCounters, StepReport)
+from palstream import (ChildStorageMode, DetectorSummary, OnlineManacher,
+                       OnlineSuffixAutomaton, PalindromeDetector, PerfCounters,
+                       StepReport)
 from palstream import oracle
 from palstream.selftest import oracle_failures
-from support import FailsOnCall, all_strings, random_tokens
+from support import FailsOnCall, all_strings, limit_symbols, random_tokens
 from tracing import Tracer, trace_detector
 
 REFERENCE_WORD = "abadaadcaa"
@@ -275,18 +276,20 @@ PINNED_WORDS = {
     "tokens256": lambda: random_tokens(5000, random.Random(19)),
 }
 # exact finish() totals: manacher_loop_odd, manacher_loop_even, nodes,
-# suffix_link_hops, child_probes; only child_probes depends on the mode
+# suffix_link_hops, child_probes; only child_probes depends on the mode.
+# The words with clones (nodes > n + 1) make no lookup for the first
+# transition a clone takes over: the automaton's walk has just found it.
 PINNED_TOTALS = {
-    ("reference", "ordered"): (11, 11, 13, 9, 39),
-    ("reference", "unordered"): (11, 11, 13, 9, 28),
+    ("reference", "ordered"): (11, 11, 13, 9, 31),
+    ("reference", "unordered"): (11, 11, 13, 9, 23),
     ("uniform_a", "ordered"): (2998, 2998, 2001, 0, 1999),
     ("uniform_a", "unordered"): (2998, 2998, 2001, 0, 1999),
     ("ab_repeated", "ordered"): (2998, 1999, 2001, 1, 1999),
     ("ab_repeated", "unordered"): (2998, 1999, 2001, 1, 1999),
-    ("random_sigma26", "ordered"): (5191, 5214, 6249, 6244, 60107),
-    ("random_sigma26", "unordered"): (5191, 5214, 6249, 6244, 108118),
-    ("tokens256", "ordered"): (5021, 5016, 5428, 5425, 74987),
-    ("tokens256", "unordered"): (5021, 5016, 5428, 5425, 705314),
+    ("random_sigma26", "ordered"): (5191, 5214, 6249, 6244, 53980),
+    ("random_sigma26", "unordered"): (5191, 5214, 6249, 6244, 97058),
+    ("tokens256", "ordered"): (5021, 5016, 5428, 5425, 71614),
+    ("tokens256", "unordered"): (5021, 5016, 5428, 5425, 671200),
 }
 
 
@@ -301,6 +304,71 @@ class TestPinnedCounters:
         s = det.finish()
         assert (s.manacher_loop_odd, s.manacher_loop_even, s.tree.nodes,
                 s.tree.suffix_link_hops, s.tree.child_probes) == PINNED_TOTALS[word, mode]
+
+
+class TestCapacity:
+    """Every int a detector stores takes 4 bytes.  It fits because a text
+    holds at most ``_MAX_SYMBOLS`` symbols; one more is refused before any
+    structure changes."""
+
+    FULL = "symbol limit reached: at most 5 symbols"
+
+    def test_arrays_take_four_bytes_and_never_truncate(self):
+        det, _ = run(REFERENCE_WORD)
+        tree = det._tree
+        for ints in (det._odd._rad, det._even._rad, tree._link, tree._clone_len,
+                     tree._clone_link):
+            stored = list(ints)
+            assert ints.itemsize == 4
+            for value in (2**31, -2**31 - 1):
+                with pytest.raises(OverflowError):
+                    ints.append(value)
+            assert list(ints) == stored
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_automaton_refuses_a_symbol_past_the_limit(self, monkeypatch, mode):
+        limit_symbols(monkeypatch, 5)
+        a = OnlineSuffixAutomaton(mode)
+        for c in "ababb":  # one clone
+            a.add_letter(c)
+
+        def state():
+            return (list(a._text), list(a._link), a._out, list(a._clone_len),
+                    list(a._clone_link), a._clone_out, a.counters(),
+                    a.min_unique_suff())
+        before = repr(state())
+        for c in "ab":
+            with pytest.raises(OverflowError, match=self.FULL):
+                a.add_letter(c)
+            assert repr(state()) == before
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_tracker_refuses_a_symbol_past_the_limit(self, monkeypatch, delta):
+        limit_symbols(monkeypatch, 5)
+        m = OnlineManacher(delta)
+        for c in "ababb":
+            m.add_letter(c)
+
+        def state():
+            return (list(m._text[2:]), list(m._rad), m._i, m._r,
+                    m.loop_iterations, m.max_pal())
+        before = state()
+        for c in "ab":
+            with pytest.raises(OverflowError, match=self.FULL):
+                m.add_letter(c)
+            assert state() == before
+
+    def test_detector_raises_on_every_push_past_the_limit(self, monkeypatch):
+        limit_symbols(monkeypatch, 5)
+        det, reports = run("abcde")
+        assert len(reports) == 5
+        with pytest.raises(OverflowError, match=self.FULL):
+            det.push("f")
+        for c in "fg":
+            with pytest.raises(RuntimeError, match="detector unusable") as info:
+                det.push(c)
+            assert isinstance(info.value.__cause__, OverflowError)
+        assert det.n == 5
 
 
 class TestTracingHooks:

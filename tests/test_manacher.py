@@ -272,20 +272,19 @@ def random_letters(n, seed):
 class TestMemory:
     """Bytes the trackers still hold after 20,000 symbols, per symbol.
 
-    Each tracker keeps one radius per center left of its current one, 8
-    bytes in an ``array('q')``.  Measured with both trackers of a detector:
-    8.18 on a^n (the centers sit mid-text), 12.60 on (ab)^k and 17.01 on
-    random a-z; the limits leave 22%, 19% and 9% headroom.  A boxed int per
-    radius or a placeholder slot per position right of the center crosses
-    the first two limits (a list of both read 48.5 and 32.9).  The random
-    case, where radii are small and centers follow the text's end, read
-    17.31 that way too: it only guards against a second slot per symbol.
+    Each tracker keeps one radius per center left of its current one, 4
+    bytes in an ``array('i')``.  Measured with both trackers of a detector:
+    4.12 on a^n (the centers sit mid-text), 6.32 on (ab)^k and 8.53 on
+    random a-z; the limits leave 21%, 19% and 11% headroom.  8-byte radii
+    cross all three limits (they read 8.18, 12.60 and 17.01), and so does a
+    boxed int per radius or a placeholder slot per position right of the
+    center (a list of both read 48.5, 32.9 and 17.31).
     """
 
     @pytest.mark.parametrize("word, limit", [
-        ("a" * 20_000, 10),
-        ("ab" * 10_000, 15),
-        (random_letters(20_000, seed=7), 18.5),
+        ("a" * 20_000, 5.0),
+        ("ab" * 10_000, 7.5),
+        (random_letters(20_000, seed=7), 9.5),
     ], ids=["uniform", "alternating", "random"])
     def test_bytes_per_symbol(self, word, limit):
         tracemalloc.start()
