@@ -51,6 +51,9 @@ def _jsonl_line(report: StepReport) -> str:
             f'"new": {new}, "closure_len": {closure}, "distinct_count": {distinct}}}\n')
 
 
+_FORMATS = {"table": _table_line, "jsonl": _jsonl_line}
+
+
 class _ReadError(Exception):
     """Reading or decoding the input failed; writing the output did not."""
 
@@ -69,22 +72,23 @@ def _chunks(stream, out, decode=None) -> Iterator:
             data = read1(65536)
             chunk = data if decode is None else decode(data, not data)
         except (OSError, UnicodeDecodeError) as exc:
-            raise _ReadError(exc) from exc
+            raise _ReadError(f"failed reading input: {exc}") from exc
         if not data:
             return
         yield chunk
 
 
-def _token_symbols(stream, out) -> Iterator[str]:
+def _token_lists(stream, out) -> Iterator[list[str]]:
+    """The input's whitespace-separated tokens, one list per read."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
     tail = ""
     for chunk in _chunks(stream, out, decode):
         chunk = tail + chunk
         parts = chunk.split()
         tail = parts.pop() if parts and not chunk[-1].isspace() else ""
-        yield from parts
+        yield parts
     if tail:
-        yield tail
+        yield [tail]
 
 
 def _discard_stdout() -> None:
@@ -99,7 +103,7 @@ def _discard_stdout() -> None:
 
 @main.command("run")
 @click.argument("file", required=False, type=str)
-@click.option("--format", "fmt", type=click.Choice(["table", "jsonl"]),
+@click.option("--format", "fmt", type=click.Choice(list(_FORMATS)),
               default="table", show_default=True,
               help="Per-symbol output format.")
 @click.option("--tokens", is_flag=True,
@@ -120,19 +124,18 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     if sys.stdout is None:  # descriptor 1 was closed when Python started
         click.echo("error: failed writing output: stdout is closed", err=True)
         sys.exit(1)
-    if file is None or file == "-":
+    from_stdin = file is None or file == "-"
+    if from_stdin:
         if sys.stdin is None:
             click.echo("error: cannot read stdin: it is closed", err=True)
             sys.exit(1)
         stream = sys.stdin.buffer
-        close_stream = False
     else:
         try:
             stream = open(file, "rb")
         except OSError as exc:
             click.echo(f"error: cannot read {file!r}: {exc}", err=True)
             sys.exit(1)
-        close_stream = True
 
     out = sys.stdout
     if isinstance(out, io.TextIOWrapper):
@@ -141,20 +144,16 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
         # instead; it goes out when full and at each flush.
         out.reconfigure(write_through=False)
     write = out.write
-    line = _table_line if fmt == "table" else _jsonl_line
+    line = _FORMATS[fmt]
     detector = PalindromeDetector()
     try:
-        symbols = (_token_symbols(stream, out) if tokens
-                   else itertools.chain.from_iterable(_chunks(stream, out)))
-        for report in detector.feed(symbols):
+        reads = _token_lists(stream, out) if tokens else _chunks(stream, out)
+        for report in detector.feed(itertools.chain.from_iterable(reads)):
             write(line(report))
         out.flush()  # a final token's record follows the last read
     except BrokenPipeError:
         _discard_stdout()
-    except _ReadError as exc:
-        click.echo(f"error: failed reading input: {exc}", err=True)
-        sys.exit(1)
-    except OverflowError as exc:  # the text is full; the records before it stand
+    except (_ReadError, OverflowError) as exc:  # the records before it stand
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     except OSError as exc:
@@ -162,7 +161,7 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
         click.echo(f"error: failed writing output: {exc}", err=True)
         sys.exit(1)
     finally:
-        if close_stream:
+        if not from_stdin:
             stream.close()
 
 

@@ -135,9 +135,9 @@ class PalindromeDetector:
                                        2 * n - longest, distinct))
 
     def feed(self, symbols: Iterable) -> Iterator[StepReport]:
-        """Push every symbol in order, yielding one report per symbol."""
-        for c in symbols:
-            yield self.push(c)
+        """An iterator pushing ``iter(symbols)`` (taken now) in order; after
+        a failed push, every later item raises RuntimeError."""
+        return map(self.push, symbols)
 
     def finish(self) -> DetectorSummary:
         """Pure snapshot of the totals; the detector stays usable."""

@@ -27,13 +27,18 @@ REFERENCE_SPANS = ((1, 1), (2, 2), (1, 3), (4, 4), (3, 5),
 def _check(w: Sequence, rows: Sequence[tuple], modes: Iterable) -> list[str]:
     """Push ``w`` through one detector per mode, compare each report with its
     expected row of ``StepReport`` fields and check the end-of-run counter
-    bounds.  Returns one message per differing field or broken bound."""
+    bounds.  Returns one message per differing field or broken bound, and
+    one for a push that raises, which ends that mode's run."""
     problems = []
     for mode in modes:
         det = PalindromeDetector(mode)
         name = det.mode.value
         for k, (c, want) in enumerate(zip(w, rows), 1):
-            got = det.push(c)
+            try:
+                got = det.push(c)
+            except Exception as exc:
+                problems.append(f"{w!r} step {k} ({name}): push raised {exc!r}")
+                break
             if got != want:
                 problems.extend(
                     f"{w!r} step {k} ({name}): {field} = {g!r}, expected {e!r}"

@@ -1,9 +1,8 @@
 """Tests for the online suffix automaton and its shortest-unique-suffix
 queries.
 
-The automaton replaced an Ukkonen suffix tree. This file keeps the tree's
-test file name, and the tests that still apply keep their names, so their
-ids stay stable; the benchmark also still calls this layer `ukkonen`."""
+The automaton replaced an Ukkonen suffix tree; the tests that still apply
+kept their names.  The benchmark still calls this layer `ukkonen`."""
 
 import random
 import tracemalloc

@@ -575,6 +575,25 @@ class TestSelftest:
         assert result.exit_code == 2
         assert "FAIL" in result.output
 
+    def test_engine_exception_is_a_failure(self, runner, monkeypatch):
+        # a push that raises fails the self-test (exit 2) with the error in
+        # the report, rather than ending it with a traceback
+        import palstream.selftest as selftest_module
+        from palstream.detector import PalindromeDetector
+
+        class RaisesOnEighth(PalindromeDetector):
+            def push(self, c):
+                if self.n == 7:
+                    raise IndexError("planted")
+                return super().push(c)
+
+        monkeypatch.setattr(selftest_module, "PalindromeDetector", RaisesOnEighth)
+        result = runner.invoke(main, ["selftest"])
+        assert result.exit_code == 2
+        assert ("FAIL reference example (ordered): 'abadaadcaa' step 8 (ordered): "
+                "push raised IndexError('planted')") in result.output
+        assert "FAIL oracle sweep: counterexample 'aaaaaaaa'" in result.output
+
     def test_unordered_only_fault_is_caught(self, runner, monkeypatch):
         # a detector that miscounts only in unordered mode: both the
         # reference example and the sweep must run that mode

@@ -104,6 +104,21 @@ class TestSmallCases:
             with pytest.raises(RuntimeError, match="ArithmeticError"):
                 det.push("a")
 
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_feed_raises_for_every_symbol_after_a_failed_push(self, mode):
+        # one feed iterator: the failing symbol's error, then RuntimeError
+        # for each later symbol instead of a quiet end that drops them
+        c = FailsOnCall(1)
+        reports = PalindromeDetector(mode).feed(["a", "a", c, "a", "a"])
+        assert [next(reports).n, next(reports).n] == [1, 2]
+        with pytest.raises(ArithmeticError) as failed:
+            next(reports)
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as later:
+                next(reports)
+            assert later.value.__cause__ is failed.value
+        assert next(reports, None) is None
+
     def test_structures_share_one_symbol_buffer(self):
         det = PalindromeDetector()
         for c in "abcab":
