@@ -44,6 +44,8 @@ class PerfCounters:
     #: Exact in unordered mode; in ordered mode an upper bound of
     #: ``m.bit_length() + 1`` per search among ``m`` symbols.
     child_probes: int
+    #: Chain edges plus stored transitions, counted by :meth:`counters`.
+    transitions: int
 
 
 class OnlineSuffixAutomaton:
@@ -197,6 +199,85 @@ class OnlineSuffixAutomaton:
             self._failure = exc
             raise
 
+    def _add_batch(self, symbols: list, answers: list) -> None:
+        """:meth:`add_letter` for each of ``symbols`` in turn, appending each
+        answer to ``answers``.
+
+        The same walk in one loop, with the structure's fields in locals and
+        the probe and hop counts added to the totals once the loop ends.  An
+        exception propagates with ``answers`` holding the answers for the
+        symbols before the one that raised, as :meth:`add_letter` would:
+        past the symbol limit an :class:`OverflowError` after the symbols
+        that fit, any other exception after stopping the automaton.
+        """
+        if self._failure is not None:
+            raise RuntimeError("automaton unusable: an earlier add_letter failed "
+                               f"with {self._failure!r}") from self._failure
+        text = self._text
+        room = _MAX_SYMBOLS - (len(text) - 2)
+        if len(symbols) > room:
+            self._add_batch(symbols[:room], answers)
+            raise OverflowError(f"symbol limit reached: at most {_MAX_SYMBOLS} symbols")
+        append_symbol, answer = text.append, answers.append
+        link, out, ordered = self._link, self._out, self._ordered
+        clone_out, clone_link, clone_len = self._clone_out, self._clone_link, self._clone_len
+        probes = hops = 0
+        try:
+            for c in symbols:
+                append_symbol(c)
+                cur = len(text) - 2
+                p = link[cur - 1]
+                while p != -1:
+                    if p >= 0:
+                        probes += 1
+                        if text[p + 2] == c:
+                            q = p + 1
+                            break
+                        edges = out.get(p)
+                        if edges is None:
+                            out[p] = [c, cur]
+                            hops += 1
+                            p = link[p]
+                            continue
+                    else:
+                        edges = clone_out[~p]
+                    m = len(edges) >> 1
+                    if ordered:
+                        probes += m.bit_length() + 1
+                        i = bisect_left(edges, c, 0, m)
+                        if i < m and edges[i] == c:
+                            q = edges[m + i]
+                            break
+                    else:
+                        try:
+                            i = edges.index(c, 0, m)
+                            probes += i + 1
+                            q = edges[m + i]
+                            break
+                        except ValueError:
+                            i = m
+                            probes += m
+                    edges.insert(m + i, cur)
+                    edges.insert(i, c)
+                    hops += 1
+                    p = link[p] if p >= 0 else clone_link[~p]
+                if p == -1:
+                    link.append(0)
+                    answer(1)
+                    continue
+                len_p = p if p >= 0 else clone_len[~p]
+                if len_p + 1 == (q if q >= 0 else clone_len[~q]):
+                    link.append(q)
+                else:
+                    link.append(self._clone(p, q, c, len_p + 1, edges, m + i))
+                answer(len_p + 2)
+        except BaseException as exc:
+            self._failure = exc
+            raise
+        finally:
+            self._probes += probes
+            self._hops += hops
+
     def _clone(self, p: int, q: int, c, length: int, p_edges: list, target: int) -> int:
         """Split ``q`` for the new symbol ``c``: a clone of length ``length``
         takes over the transitions on ``c`` into ``q`` from ``p`` and the
@@ -263,6 +344,11 @@ class OnlineSuffixAutomaton:
         return (s if s >= 0 else self._clone_len[~s]) + 1
 
     def counters(self) -> PerfCounters:
+        """The totals.  ``transitions`` is summed here, so that
+        :meth:`add_letter` pays nothing for it: a chain edge into every
+        prefix state but the root, and every stored transition."""
+        stored = sum(map(len, self._out.values())) + sum(map(len, self._clone_out[1:]))
         return PerfCounters(nodes=len(self._link) + len(self._clone_len) - 1,
                             suffix_link_hops=self._hops,
-                            child_probes=self._probes)
+                            child_probes=self._probes,
+                            transitions=len(self._link) - 1 + (stored >> 1))

@@ -70,6 +70,7 @@ class BenchMeasurement:
     manacher_loop_iters: int
     manacher_loop_bound: int
     nodes: int
+    transitions: int
     child_probes: int
     suffix_link_hops: int
     distinct_count: int
@@ -115,9 +116,11 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
     """Run one configuration per size, aggregating repetitions.
 
     Each repetition derives its own input seed.  The totals of every
-    repetition are checked against the 4n loop and 2n state bounds on the
-    spot; a violation is an engine bug, not a measurement artifact, and
-    raises.  paper_example always runs its one word, whatever the sizes.
+    repetition are checked on the spot against the bounds of
+    :meth:`DetectorSummary.bound_problems` (4n loop passes, 2n - 1 states,
+    3n - 4 transitions); a violation is an engine bug, not a measurement
+    artifact, and raises.  paper_example always runs its one word, whatever
+    the sizes.
     """
     if cfg.generator == "paper_example":
         from .selftest import REFERENCE_WORD
@@ -153,6 +156,7 @@ def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
             manacher_loop_iters=first_summary.manacher_loop_total,
             manacher_loop_bound=first_summary.manacher_loop_bound,
             nodes=counters.nodes,
+            transitions=counters.transitions,
             child_probes=counters.child_probes,
             suffix_link_hops=counters.suffix_link_hops,
             distinct_count=first_summary.distinct_count,

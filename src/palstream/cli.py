@@ -9,7 +9,6 @@ from __future__ import annotations
 import codecs
 import dataclasses
 import io
-import itertools
 import os
 import sys
 from typing import Iterator
@@ -19,7 +18,7 @@ import click
 from . import __version__
 from .automaton import ChildStorageMode
 from .bench import GENERATORS, BenchConfig, BenchMeasurement, run_config
-from .detector import PalindromeDetector, StepReport
+from .detector import _BATCH, PalindromeDetector, StepReport
 
 
 @click.group()
@@ -115,10 +114,13 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     separated tokens, which exercises large alphabets.  Output is flushed
     before each read of more input, so the records for every symbol read
     so far are out before the run waits for input, and prefixes of the
-    input always yield prefixes of the output.  Between reads, records go
-    out in blocks of up to 8 KiB, also under ``python -u`` or
+    input always yield prefixes of the output.  Each read is cut into
+    pieces of at most 256 symbols; the detector takes a piece through
+    ``feed``, and its records are written with one call.  They collect in
+    the output's 8 KiB buffer, also under ``python -u`` or
     PYTHONUNBUFFERED (a terminal without either gets them line by line).
-    A reader that closes the output early (``| head``) ends the run
+    The records of the symbols before a failing one are written too.  A
+    reader that closes the output early (``| head``) ends the run
     normally.
     """
     if sys.stdout is None:  # descriptor 1 was closed when Python started
@@ -147,9 +149,13 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     line = _FORMATS[fmt]
     detector = PalindromeDetector()
     try:
-        reads = _token_lists(stream, out) if tokens else _chunks(stream, out)
-        for report in detector.feed(itertools.chain.from_iterable(reads)):
-            write(line(report))
+        for symbols in _token_lists(stream, out) if tokens else _chunks(stream, out):
+            for start in range(0, len(symbols), _BATCH):
+                records = []
+                try:
+                    records.extend(map(line, detector.feed(symbols[start:start + _BATCH])))
+                finally:
+                    write("".join(records))
         out.flush()  # a final token's record follows the last read
     except BrokenPipeError:
         _discard_stdout()
@@ -199,8 +205,8 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
     """Measure wall time and structural counters over generated inputs.
 
     Emits one JSON object per configuration on stdout and a human-readable
-    table on stderr.  Every run is checked against the 4n loop and 2n state
-    bounds.
+    table on stderr.  Every run is checked against the 4n loop, 2n - 1 state
+    and 3n - 4 transition bounds.
     """
     import json
 

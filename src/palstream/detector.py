@@ -10,6 +10,7 @@ where it first becomes a suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
@@ -20,6 +21,11 @@ __all__ = ["StepReport", "DetectorSummary", "PalindromeDetector"]
 #: Builds a StepReport from a tuple of its fields, skipping the argument
 #: handling of ``StepReport.__new__``.
 _new_tuple = tuple.__new__
+
+#: The most symbols :meth:`PalindromeDetector.feed` takes from its input for
+#: one call into each structure; ``palstream run`` writes the records of at
+#: most this many symbols at a time.
+_BATCH = 256
 
 
 class StepReport(NamedTuple):
@@ -60,14 +66,21 @@ class DetectorSummary:
 
     def bound_problems(self) -> list[str]:
         """The linear bounds these totals break, one message each: at most 4n
-        Manacher loop passes, and at most 2n automaton states once n > 0."""
+        Manacher loop passes, and Blumer et al.'s exact bounds on the
+        automaton, at most 2n - 1 states once n >= 2 (2 at n = 1) and at
+        most 3n - 4 transitions once n >= 3."""
         n = self.n
         problems = []
         if self.manacher_loop_total > self.manacher_loop_bound:
             problems.append(f"manacher loop total {self.manacher_loop_total} "
                             f"> 4n = {self.manacher_loop_bound}")
-        if n and self.tree.nodes > 2 * n:
-            problems.append(f"{self.tree.nodes} automaton states > 2n = {2 * n}")
+        if n == 1 and self.tree.nodes > 2:
+            problems.append(f"{self.tree.nodes} automaton states > 2 at n = 1")
+        if n >= 2 and self.tree.nodes > 2 * n - 1:
+            problems.append(f"{self.tree.nodes} automaton states > 2n - 1 = {2 * n - 1}")
+        if n >= 3 and self.tree.transitions > 3 * n - 4:
+            problems.append(f"{self.tree.transitions} automaton transitions "
+                            f"> 3n - 4 = {3 * n - 4}")
         return problems
 
 
@@ -135,9 +148,79 @@ class PalindromeDetector:
                                        2 * n - longest, distinct))
 
     def feed(self, symbols: Iterable) -> Iterator[StepReport]:
-        """An iterator pushing ``iter(symbols)`` (taken now) in order; after
-        a failed push, every later item raises RuntimeError."""
-        return map(self.push, symbols)
+        """The reports of ``iter(symbols)`` (taken now), in order, as
+        :meth:`push` would give them.
+
+        The symbols are taken ``_BATCH`` at a time, and each structure
+        absorbs a batch in one call.  When a symbol fails, the items are the
+        reports of the symbols before it, then its exception, then
+        :class:`RuntimeError`, chained to that exception, for each later
+        symbol; :attr:`n` then counts the reports given, while the totals of
+        :meth:`finish` may include the automaton's work on the rest of the
+        failing batch, which it absorbs before the trackers.  While a batch's
+        reports are being taken, :attr:`n` and :attr:`distinct_count`
+        already count the whole batch.  If the input itself raises, its
+        exception follows the reports of the symbols taken before it.
+        """
+        # A generator that has raised is exhausted, so the next item comes
+        # from the tail: push, which refuses each symbol _batches left in rest.
+        rest: list = []
+        return chain(self._batches(iter(symbols), rest),
+                     map(self.push, chain.from_iterable(rest)))
+
+    def _batches(self, symbols: Iterator, rest: list) -> Iterator[StepReport]:
+        """The reports of ``symbols``, one batch at a time, while the detector
+        is usable; the symbols after a failed one, or all of them once it
+        is unusable, go to ``rest``."""
+        while self._failure is None:
+            batch, error = [], None
+            try:
+                batch.extend(islice(symbols, _BATCH))
+            except BaseException as exc:
+                error = exc
+            if not batch and error is None:
+                return
+            reports, failure = self._absorb(batch)
+            if failure is not None:
+                self._failure = error = failure
+                rest += (batch[len(reports) + 1:], symbols)
+            yield from reports
+            if error is not None:
+                raise error
+        rest.append(symbols)
+
+    def _absorb(self, batch: list) -> tuple[list[StepReport], BaseException | None]:
+        """Each structure absorbs as much of ``batch`` as the one before it
+        did; returns the reports of the symbols that all three absorbed and
+        the exception that stopped one of them, if any."""
+        start = self._n + 2  # the text position of batch[0]
+        unique: list[int] = []
+        odd: list[int] = []
+        even: list[int] = []
+        failure = None
+        try:
+            self._tree._add_batch(batch, unique)
+        except BaseException as exc:
+            failure = exc
+        for tracker, lengths, done in ((self._odd, odd, unique), (self._even, even, odd)):
+            try:
+                tracker._add_span(start, start + len(done), lengths)
+            except BaseException as exc:
+                failure = exc
+        reports = []
+        append = reports.append
+        n, distinct = self._n, self._distinct
+        for unique_len, odd_len, even_len in zip(unique, odd, even):
+            n += 1
+            longest = odd_len if odd_len >= even_len else even_len
+            span = None
+            if longest >= unique_len:
+                span = (n - longest + 1, n)
+                distinct += 1
+            append(_new_tuple(StepReport, (n, odd_len, even_len, longest, unique_len, span,
+                                           2 * n - longest, distinct)))
+        self._n, self._distinct = n, distinct
+        return reports, failure
 
     def finish(self) -> DetectorSummary:
         """Pure snapshot of the totals; the detector stays usable."""

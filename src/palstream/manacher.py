@@ -145,6 +145,54 @@ class OnlineManacher:
         self._loop_iters += iters
         return 2 * r + 1 - delta
 
+    def _add_span(self, start: int, stop: int, lengths: list) -> None:
+        """:meth:`add_letter` for the symbols at positions ``start`` up to
+        ``stop - 1`` of a tracker built by :meth:`_over`, which its owner
+        has already appended; each new :meth:`max_pal` is appended to
+        ``lengths``.
+
+        One loop with its state in locals, which go back to the slots once
+        it ends.  An exception propagates with ``lengths`` holding the
+        answers for the symbols before the one that raised, and the slots
+        and loop total as :meth:`add_letter` leaves them after that symbol.
+        """
+        text, delta, rad = self._text, self.delta, self._rad
+        append = lengths.append
+        i, r, iters = self._i, self._r, 0
+        if start == 2 < stop:  # the first symbol: nothing before it to compare with
+            append(1 - delta)
+            start = 3
+        try:
+            for n in range(start - 1, stop - 1):  # c is at n + 1, and i + r == n
+                c = text[n + 1]
+                if text[i - r - 1 + delta] == c:
+                    r += 1
+                    iters += 1
+                    append(2 * r + 1 - delta)
+                    continue
+                rad.append(r)
+                passes = 1
+                mirror = 2 * i
+                j = i + 1
+                while j <= n:
+                    passes += 1
+                    s = rad[mirror - j]
+                    if s > n - j:
+                        s = n - j
+                    if j + s == n and text[j - s - 1 + delta] == c:
+                        s += 1
+                        break
+                    rad.append(s)
+                    j += 1
+                else:
+                    s = 0
+                i, r = j, s
+                iters += passes
+                append(2 * r + 1 - delta)
+        finally:
+            self._i, self._r = i, r
+            self._loop_iters += iters
+
     def max_pal(self) -> int:
         """Length of the maximal tracked-parity palindromic suffix.
 

@@ -2,18 +2,19 @@
 queries.
 
 The automaton replaced an Ukkonen suffix tree; the tests that still apply
-kept their names.  Its memory tests are still in `test_ukkonen.py`, and the
-benchmark still calls this layer `ukkonen`."""
+kept their names.  The benchmark still calls this layer `ukkonen`."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import palstream.automaton
 from palstream import ChildStorageMode, OnlineSuffixAutomaton
 from palstream.oracle import naive_min_unique_suffix
-from support import all_strings
+from support import all_strings, fibonacci_word, limit_symbols
 
 REFERENCE_WORD = "abadaadcaa"
 EXPECTED_MIN_UNIQUE = [1, 1, 2, 1, 2, 2, 3, 1, 2, 3]
@@ -267,6 +268,15 @@ class TestBoundsAndCounters:
             assert current.child_probes >= previous.child_probes
             previous = current
 
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_transitions_count_every_edge(self, mode):
+        rng = random.Random(15)
+        for sigma in (1, 2, 3, 26):
+            w = rng.choices("abcdefghijklmnopqrstuvwxyz"[:sigma], k=rng.randint(1, 400))
+            automaton, _ = build(w, mode)
+            edges = sum(len(transitions(automaton, s)) for s in states(automaton))
+            assert automaton.counters().transitions == edges
+
     def test_unordered_probes_count_scan_length(self):
         # the k-th distinct symbol is missing at the root, which costs its
         # chain edge plus the k - 2 explicit symbols: 1 + 2 + 3 probes
@@ -274,6 +284,49 @@ class TestBoundsAndCounters:
         for c in "abcd":
             automaton.add_letter(c)
         assert automaton.counters().child_probes == 6
+
+
+def layout(a):
+    return (a._text[2:], list(a._link), a._out, list(a._clone_len),
+            list(a._clone_link), a._clone_out, a.counters())
+
+
+class TestBatch:
+    """``_add_batch``, the detector's batch path: the same walk over a list
+    of symbols in one call."""
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_batches_build_what_add_letter_builds(self, mode):
+        rng = random.Random(21)
+        for _ in range(30):
+            w = rng.choices("abcd"[:rng.randint(1, 4)], k=rng.randint(1, 300))
+            one, values = build(w, mode)
+            batched = OnlineSuffixAutomaton(mode)
+            answers = []
+            for cut in range(0, len(w), 7):
+                batched._add_batch(w[cut:cut + 7], answers)
+            assert answers == values
+            assert layout(batched) == layout(one)
+
+    def test_symbol_limit_inside_a_batch(self, monkeypatch):
+        limit_symbols(monkeypatch, 5)
+        a = OnlineSuffixAutomaton()
+        answers = []
+        with pytest.raises(OverflowError, match="at most 5 symbols"):
+            a._add_batch(list("abcdefg"), answers)
+        assert answers == build("abcde")[1]
+        assert layout(a) == layout(build("abcde")[0])
+        with pytest.raises(OverflowError):  # full, not stopped
+            a.add_letter("f")
+
+    def test_failed_batch_stops_the_automaton(self):
+        a = OnlineSuffixAutomaton()
+        answers = []
+        with pytest.raises(TypeError):  # 1 and "b" do not compare
+            a._add_batch(["a", 1, "b", "a"], answers)
+        assert answers == [1, 1]
+        with pytest.raises(RuntimeError, match="TypeError"):
+            a._add_batch(["a"], answers)
 
 
 class TestModeEquivalence:
@@ -290,3 +343,40 @@ class TestModeEquivalence:
                 assert length(a_ord, s) == length(a_uno, s)
                 assert transitions(a_ord, s) == transitions(a_uno, s)
 
+
+class TestMemory:
+    """Bytes the automaton still holds after 20,000 symbols, per symbol.
+
+    Every transition of ``a``^n is a chain edge, so it measures the text
+    and the suffix links alone: 12.86 in both modes, 8 bytes a text slot and
+    4 a link; the limit, 14.0, leaves 8% headroom, and 8-byte links read
+    17.08.  The Fibonacci word stores transition lists at 19 prefix states
+    spread over the whole text; a structure sized by the highest of them
+    pays for every prefix state below it.  Measured: 12.94 ordered and
+    12.93 unordered; the limit, a^n plus 1.0, leaves 0.92 headroom.  A
+    list slot per prefix state up to the highest with transitions read
+    21.48 on the Fibonacci word (with 8-byte links).
+    """
+
+    @staticmethod
+    def bytes_per_symbol(word, mode):
+        tracemalloc.start()
+        try:
+            a = OnlineSuffixAutomaton(mode)
+            for c in word:
+                a.add_letter(c)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        source = tracemalloc.Filter(True, palstream.automaton.__file__)
+        held = snapshot.filter_traces([source])
+        return sum(stat.size for stat in held.statistics("filename")) / len(word)
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_unary_costs_at_most_14_bytes(self, mode):
+        assert self.bytes_per_symbol("a" * 20_000, mode) <= 14.0
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_fibonacci_costs_no_more_than_unary(self, mode):
+        unary = self.bytes_per_symbol("a" * 20_000, mode)
+        assert self.bytes_per_symbol(fibonacci_word(20_000), mode) <= unary + 1.0

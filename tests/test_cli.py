@@ -116,11 +116,19 @@ class CountingRaw(io.RawIOBase):
         return len(b)
 
 
+def pushed_reports(symbols):
+    """The reports of ``symbols`` through ``push``, one call a symbol, so
+    that the expected output does not come from the batches of ``feed``
+    that `run` uses."""
+    detector = PalindromeDetector()
+    return [detector.push(c) for c in symbols]
+
+
 def table_text(symbols):
     """`run` table output with each line built by the format spec of the
     f-strings the table was first written with."""
     lines = []
-    for r in PalindromeDetector().feed(symbols):
+    for r in pushed_reports(symbols):
         new = "-" if r.new_palindrome is None else f"{r.new_palindrome[0]}-{r.new_palindrome[1]}"
         lines.append(f"{r.n:>8} {r.max_pal:>8} {r.min_unique_suff:>16} {new:>14} "
                      f"{r.closure_len:>12} {r.distinct_count:>15}\n")
@@ -133,7 +141,7 @@ def table_text(symbols):
 def dumps_records(symbols):
     """`run --format jsonl` output as ``json.dumps`` writes each record."""
     lines = []
-    for r in PalindromeDetector().feed(symbols):
+    for r in pushed_reports(symbols):
         new = None if r.new_palindrome is None else "%d-%d" % r.new_palindrome
         lines.append(json.dumps({
             "n": r.n, "max_pal": r.max_pal, "min_unique_suff": r.min_unique_suff,
@@ -422,6 +430,7 @@ class TestBench:
         for record in records:
             assert record["manacher_loop_iters"] <= record["manacher_loop_bound"]
             assert record["nodes"] <= 2 * record["n"]
+            assert record["transitions"] <= 3 * record["n"] - 4
             assert record["child_probes"] > 0
             assert record["mode"] == "ordered"
 
@@ -431,7 +440,8 @@ class TestBench:
         assert list(json.loads(result.stdout.splitlines()[0])) == [
             "gen", "sigma", "n", "mode", "reps", "seed", "wall_best", "wall_mean",
             "symbols_per_sec", "manacher_loop_iters", "manacher_loop_bound",
-            "nodes", "child_probes", "suffix_link_hops", "distinct_count"]
+            "nodes", "transitions", "child_probes", "suffix_link_hops",
+            "distinct_count"]
 
     def test_mode_given_as_string(self):
         [measurement] = run_config(

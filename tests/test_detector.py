@@ -1,6 +1,7 @@
 """Tests for the combined per-symbol palindrome detector."""
 
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from palstream import (ChildStorageMode, DetectorSummary, OnlineManacher,
                        OnlineSuffixAutomaton, PalindromeDetector, PerfCounters,
                        StepReport)
+from palstream import detector as detector_module
 from palstream import oracle
 from palstream.selftest import oracle_failures
 from support import FailsOnCall, all_strings, limit_symbols, random_tokens
@@ -135,6 +137,112 @@ class TestSmallCases:
         assert r.max_pal == 1
         assert r.new_palindrome == (1, 1)
         assert r.closure_len == 1
+
+
+def feed_items(detector, symbols):
+    """Every item of ``detector.feed(symbols)``: a report, or the exception
+    that taking it raised."""
+    items = []
+    reports = detector.feed(symbols)
+    while True:
+        try:
+            items.append(next(reports))
+        except StopIteration:
+            return items
+        except Exception as exc:
+            items.append(exc)
+
+
+class TestFeedFailures:
+    """``feed`` takes its input a batch at a time, one call into each
+    structure per batch; wherever a symbol fails in a batch, the items are
+    those of ``push``: the reports before it, its exception, then a chained
+    RuntimeError for each later symbol."""
+
+    #: Where the failing symbol sits, with batches of 8 symbols: the first,
+    #: a middle and the last slot of the second batch, and the first slot of
+    #: the third.  The first symbol of all makes no comparison.
+    POSITIONS = {"first": 8, "middle": 11, "last": 15, "next_first": 16}
+
+    @staticmethod
+    def word(position, failing):
+        # before the failing symbol a unary word, so that it is compared only
+        # with == (ordered mode bisects no list holding it); after it enough
+        # symbols to fill the rest of its batch and the next
+        return ["a"] * position + [failing] + ["a"] * 12
+
+    def check(self, mode, position, calls=None):
+        """Feed the word with its symbol at ``position`` failing at each of
+        its comparisons (or at those in ``calls``); check the items."""
+        never = FailsOnCall(0)
+        reference = PalindromeDetector(mode)
+        want = [reference.push(c) for c in self.word(position, never)]
+        assert never.calls > 0
+        for k in calls or range(1, never.calls + 1):
+            k = min(k, never.calls)
+            word = self.word(position, FailsOnCall(k))
+            det = PalindromeDetector(mode)
+            items = feed_items(det, word)
+            failed = next(i for i, item in enumerate(items)
+                          if isinstance(item, BaseException))
+            assert failed >= position
+            assert items[:failed] == want[:failed], k
+            assert isinstance(items[failed], ArithmeticError), (k, items[failed])
+            for later in items[failed + 1:]:
+                assert isinstance(later, RuntimeError), (k, later)
+                assert later.__cause__ is items[failed]
+            assert len(items) == len(word)
+            assert (det.n, det.distinct_count) == (failed, want[failed - 1].distinct_count)
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("where", list(POSITIONS))
+    def test_failure_at_every_comparison(self, monkeypatch, mode, where):
+        monkeypatch.setattr(detector_module, "_BATCH", 8)
+        self.check(mode, self.POSITIONS[where])
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_failure_at_the_edges_of_full_batches(self, mode):
+        # the last slot of the first batch of 256 and the first of the
+        # second, failing at the first, a middle and the last comparison
+        for position in (255, 256):
+            self.check(mode, position, calls=(1, 300, 10**6))
+
+    def test_symbol_limit_inside_a_batch(self, monkeypatch):
+        limit_symbols(monkeypatch, 5)
+        det = PalindromeDetector()
+        items = feed_items(det, "abcdefg")
+        assert items[:5] == run("abcde")[1]
+        assert isinstance(items[5], OverflowError)
+        assert [type(item) for item in items[6:]] == [RuntimeError]
+        assert items[6].__cause__ is items[5]
+        assert det.n == 5
+
+    def test_input_error_follows_the_reports_before_it(self):
+        def symbols():
+            yield from "aba"
+            raise ValueError("input failed")
+
+        det = PalindromeDetector()
+        items = feed_items(det, symbols())
+        assert items[:3] == run("aba")[1]
+        assert [type(item) for item in items[3:]] == [ValueError]
+        assert det.push("c").n == 4  # the input's error is not the detector's
+
+    def test_feed_after_a_failure_raises_for_every_symbol(self):
+        det = PalindromeDetector()
+        det.push("a")
+        with pytest.raises(ArithmeticError):
+            det.push(FailsOnCall(1))
+        items = feed_items(det, "abc")
+        assert [type(item) for item in items] == [RuntimeError] * 3
+        assert det.n == 1
+
+    def test_takes_at_most_one_batch_before_its_first_report(self):
+        taken = count()
+        symbols = ("a" for _ in taken)  # endless
+        first = next(PalindromeDetector().feed(symbols))
+        assert first.n == 1
+        assert next(taken) == detector_module._BATCH == 256
 
 
 class TestStepReport:
@@ -270,16 +378,44 @@ class TestBoundProblems:
         n = 10
         summary = DetectorSummary(
             n=n, distinct_count=0, manacher_loop_odd=4 * n + 1, manacher_loop_even=0,
-            tree=PerfCounters(nodes=2 * n + 1, suffix_link_hops=0, child_probes=0))
+            tree=PerfCounters(nodes=2 * n, suffix_link_hops=0, child_probes=0,
+                              transitions=3 * n - 3))
         problems = summary.bound_problems()
-        assert len(problems) == 2
+        assert len(problems) == 3
         assert "4n = 40" in problems[0]
-        assert "2n = 20" in problems[1]
+        assert "2n - 1 = 19" in problems[1]
+        assert "3n - 4 = 26" in problems[2]
 
     def test_real_runs_hold_both_bounds(self):
         for w in ("", REFERENCE_WORD, "a" * 300, "ab" * 150):
             det, _ = run(w)
             assert det.finish().bound_problems() == [], w
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_extremal_words_meet_blumers_bounds_exactly(self, mode):
+        # Blumer et al.: a b^(n-1) has the most states, a b^(n-2) c the most
+        # transitions; both paths into the automaton reach them
+        for n in (3, 4, 10, 1000):
+            most_states = "a" + "b" * (n - 1)
+            most_transitions = "a" + "b" * (n - 2) + "c"
+            for w, field, bound in ((most_states, "nodes", 2 * n - 1),
+                                    (most_transitions, "transitions", 3 * n - 4)):
+                pushed = PalindromeDetector(mode)
+                for c in w:
+                    pushed.push(c)
+                fed, _ = run(w, mode)
+                for det in (pushed, fed):
+                    summary = det.finish()
+                    assert getattr(summary.tree, field) == bound, (w, field)
+                    assert summary.bound_problems() == [], w
+
+    def test_a_planted_extra_transition_is_reported(self):
+        n = 50
+        det, _ = run("a" + "b" * (n - 2) + "c")
+        assert det.finish().bound_problems() == []
+        det._tree._out[n] = ["d", 0]  # the last state gets a transition
+        assert det.finish().bound_problems() == [
+            f"{3 * n - 3} automaton transitions > 3n - 4 = {3 * n - 4}"]
 
 
 PINNED_WORDS = {

@@ -8,7 +8,7 @@ the words below, so they can be far longer than the cubic oracle allows.
 
 import random
 import string
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -19,15 +19,33 @@ from support import fibonacci_word, random_tokens
 N = 100_000
 
 
+def uneven_pieces(symbols):
+    """``symbols`` cut into pieces of 1, 255, 256 and 257 symbols, then the
+    rest: a piece that is less than, exactly or more than one batch of
+    ``feed``, each starting where the last left off."""
+    cuts = [0, 1, 256, 512, 769, len(symbols)]
+    return [symbols[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def assert_matches_reference(symbols, modes=tuple(ChildStorageMode)):
-    """Push ``symbols`` through one detector per mode, comparing every
-    report with the reference's tuple of the same step."""
-    detectors = [PalindromeDetector(mode) for mode in modes]
-    for c, want in zip(symbols, expected_reports(symbols)):
-        for det in detectors:
+    """Per mode, push ``symbols`` through one detector and feed them in
+    uneven pieces to another, comparing every report of both with the
+    reference's tuple of the same step; both paths must end with the same
+    totals, within the bounds."""
+    pushed = [PalindromeDetector(mode) for mode in modes]
+    fed = [PalindromeDetector(mode) for mode in modes]
+    feeds = [chain.from_iterable(map(det.feed, uneven_pieces(symbols))) for det in fed]
+    for c, want, *from_feed in zip(symbols, expected_reports(symbols), *feeds):
+        for det in pushed:
             got = det.push(c)
             assert got == want, (det.mode.value, got, want)
-    assert [det.n for det in detectors] == [len(symbols)] * len(detectors)
+        for det, got in zip(fed, from_feed):
+            assert got == want, ("feed", det.mode.value, got, want)
+    assert [det.n for det in pushed + fed] == [len(symbols)] * 2 * len(modes)
+    for by_push, by_feed in zip(pushed, fed):
+        summary = by_push.finish()
+        assert by_feed.finish() == summary
+        assert summary.bound_problems() == []
 
 
 def thue_morse(n):

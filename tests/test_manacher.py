@@ -264,6 +264,44 @@ class TestDeterminism:
         assert m.max_pal() == 3
 
 
+class TestSpan:
+    """``_add_span``, the detector's batch path: a tracker over an owner's
+    text absorbs the symbols at a range of positions in one call."""
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_spans_build_what_add_letter_builds(self, delta):
+        rng = random.Random(8)
+        for _ in range(30):
+            w = rng.choices("aab", k=rng.randint(1, 200))
+            one, values = feed(delta, w)
+            text = [None, object()]
+            spanned = OnlineManacher._over(text, delta)
+            lengths = []
+            for cut in range(0, len(w), 7):  # text[2 + k] is symbol k
+                text.extend(w[cut:cut + 7])
+                spanned._add_span(2 + cut, len(text), lengths)
+            assert lengths == values
+            assert radii_of(spanned) == radii_of(one)
+            assert (spanned._i, spanned.loop_iterations) == (one._i, one.loop_iterations)
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_a_failed_symbol_keeps_the_answers_before_it(self, delta):
+        # the symbol after "aaa" fails at its k-th comparison; the slots are
+        # those add_letter leaves after "aaa"
+        before, values = feed(delta, "aaa")
+        never = FailsOnCall(0)
+        OnlineManacher._over([None, object(), "a", "a", "a", never], delta)._add_span(2, 6, [])
+        assert never.calls > 0
+        for k in range(1, never.calls + 1):
+            m = OnlineManacher._over([None, object(), "a", "a", "a", FailsOnCall(k)], delta)
+            lengths = []
+            with pytest.raises(ArithmeticError):
+                m._add_span(2, 6, lengths)
+            assert lengths == values
+            assert (m._i, m._r, m.loop_iterations) == \
+                (before._i, before._r, before.loop_iterations)
+
+
 def random_letters(n, seed):
     rng = random.Random(seed)
     return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(n))
