@@ -30,7 +30,9 @@ class ChildStorageMode(str, Enum):
     #: that agrees with it).
     ORDERED = "ordered"
     #: Flat list + linear scan; symbols only need an equality under which
-    #: each equals itself.
+    #: each equals itself.  The symbol sought stands in the list's first
+    #: target slot during the scan, so a missing one is found there by
+    #: identity: no comparison, no exception.
     UNORDERED = "unordered"
 
 
@@ -65,7 +67,10 @@ class OnlineSuffixAutomaton:
     - Every other transition of ``i`` (or clone ``k``) is in ``_out[i]``
       (``_clone_out[k]``): one list of ``m`` symbols, then their ``m`` targets.
       Ordered mode keeps the symbols sorted and bisects; unordered mode
-      appends and scans.  ``_out`` is a dict holding only the prefix states
+      appends and scans, with the symbol sought standing in for the first
+      target, ``edges[m]``, until the scan ends: ``list.index`` tries
+      identity before ``==``, so it stops there on a miss without calling
+      ``__eq__``.  ``_out`` is a dict holding only the prefix states
       that have a list: on the texts measured, the root and at most 19
       others.  Every clone has a list, so ``_clone_out`` is a list.
 
@@ -105,21 +110,27 @@ class OnlineSuffixAutomaton:
         """Index of ``c`` among the symbols of ``edges``, or where it goes.
 
         Both searches run in C, so the probe count is arithmetic.  Unordered,
-        it is exact: one comparison per element the scan touches.  Ordered, it
-        is an upper bound, ``m.bit_length() + 1``: the most steps a bisection
-        of ``m`` symbols takes, plus a final equality test.  :meth:`add_letter`'s
-        walk inlines this search and its count.
+        it is exact: the scan of the ``m`` symbols runs on into ``edges[m]``,
+        which holds ``c`` itself while it runs (the target is put back in a
+        ``finally``).  ``c`` matches itself by identity, with no ``__eq__``
+        call and no exception to catch, so a miss returns ``m`` after ``m``
+        comparisons, and a hit at ``i`` costs ``i + 1``.  Ordered, it is an
+        upper bound, ``m.bit_length() + 1``: the most steps a bisection of
+        ``m`` symbols takes, plus a final equality test.  Every list holds at
+        least one transition.  :meth:`add_letter`'s walk inlines this search
+        and its count.
         """
         m = len(edges) >> 1
         if self._ordered:
             self._probes += m.bit_length() + 1
             return bisect_left(edges, c, 0, m)
+        target = edges[m]
+        edges[m] = c
         try:
-            i = edges.index(c, 0, m)
-        except ValueError:
-            self._probes += m
-            return m
-        self._probes += i + 1
+            i = edges.index(c, 0, m + 1)
+        finally:
+            edges[m] = target
+        self._probes += i + 1 if i < m else m
         return i
 
     # -- construction ----------------------------------------------------------
@@ -170,14 +181,19 @@ class OnlineSuffixAutomaton:
                         q = edges[m + i]
                         break
                 else:
-                    try:  # list.index matches by identity or ==; no second test
-                        i = edges.index(c, 0, m)
+                    # c stands in the first target slot, so a miss ends the
+                    # scan there (i == m) without a comparison or an exception
+                    target = edges[m]
+                    edges[m] = c
+                    try:
+                        i = edges.index(c, 0, m + 1)
+                    finally:
+                        edges[m] = target
+                    if i < m:
                         probes += i + 1
                         q = edges[m + i]
                         break
-                    except ValueError:
-                        i = m
-                        probes += m
+                    probes += m
                 edges.insert(m + i, cur)
                 edges.insert(i, c)
                 hops += 1
@@ -249,14 +265,17 @@ class OnlineSuffixAutomaton:
                             q = edges[m + i]
                             break
                     else:
+                        target = edges[m]
+                        edges[m] = c
                         try:
-                            i = edges.index(c, 0, m)
+                            i = edges.index(c, 0, m + 1)
+                        finally:
+                            edges[m] = target
+                        if i < m:
                             probes += i + 1
                             q = edges[m + i]
                             break
-                        except ValueError:
-                            i = m
-                            probes += m
+                        probes += m
                     edges.insert(m + i, cur)
                     edges.insert(i, c)
                     hops += 1
@@ -288,8 +307,9 @@ class OnlineSuffixAutomaton:
         clone_len, clone_link, clone_out = self._clone_len, self._clone_link, self._clone_out
         k = len(clone_len)
         n = len(text) - 2
-        if k >= n:
-            raise RuntimeError(f"state bound violated: {n + 1 + k} states > 2n = {2 * n}")
+        if k >= n - 1:  # Blumer et al.: at most 2n - 1 states once n >= 2
+            raise RuntimeError(f"state bound violated: {n + 1 + k} states "
+                               f"> 2n - 1 = {2 * n - 1}")
         clone = ~k
         clone_len.append(length)
         if q >= 0:

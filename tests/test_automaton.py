@@ -5,6 +5,7 @@ The automaton replaced an Ukkonen suffix tree; the tests that still apply
 kept their names.  The benchmark still calls this layer `ukkonen`."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import palstream.automaton
 from palstream import ChildStorageMode, OnlineSuffixAutomaton
 from palstream.oracle import naive_min_unique_suffix
-from support import all_strings, fibonacci_word, limit_symbols
+from support import FailsOnCall, all_strings, fibonacci_word, limit_symbols
 
 REFERENCE_WORD = "abadaadcaa"
 EXPECTED_MIN_UNIQUE = [1, 1, 2, 1, 2, 2, 3, 1, 2, 3]
@@ -285,6 +286,14 @@ class TestBoundsAndCounters:
             automaton.add_letter(c)
         assert automaton.counters().child_probes == 6
 
+    def test_clone_past_2n_minus_1_states_raises(self):
+        # "abb" clones once, at n = 3, into its fifth state (2n - 1 = 5); a
+        # padded clone slot makes that clone the sixth
+        automaton, _ = build("ab")
+        automaton._clone_len.append(0)
+        with pytest.raises(RuntimeError, match=r"6 states > 2n - 1 = 5$"):
+            automaton.add_letter("b")
+
 
 def layout(a):
     return (a._text[2:], list(a._link), a._out, list(a._clone_len),
@@ -327,6 +336,55 @@ class TestBatch:
         assert answers == [1, 1]
         with pytest.raises(RuntimeError, match="TypeError"):
             a._add_batch(["a"], answers)
+
+
+def transition_lists(a):
+    return ({s: edges.copy() for s, edges in a._out.items()},
+            [edges.copy() for edges in a._clone_out[1:]])
+
+
+class TestUnorderedScan:
+    """The unordered walks and ``_slot`` find a missing symbol at the
+    stand-in they put in the first target slot, not through ``ValueError``."""
+
+    def test_walks_raise_no_exception(self):
+        w = random.Random(17).choices("abcdefghijklmnopqrstuvwxyz", k=1000)
+        one = OnlineSuffixAutomaton(ChildStorageMode.UNORDERED)
+        batched = OnlineSuffixAutomaton(ChildStorageMode.UNORDERED)
+        raised = []
+
+        def profile(frame, event, arg):
+            if event == "c_exception":
+                raised.append(arg)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for c in w:
+                one.add_letter(c)
+            for cut in range(0, len(w), 7):
+                batched._add_batch(w[cut:cut + 7], [])
+        finally:
+            sys.setprofile(previous)
+        assert raised == []
+        assert len(one._clone_len) > 100  # so _clone searched with _slot too
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["add_letter", "_add_batch"])
+    def test_failed_comparison_restores_the_borrowed_slot(self, batch):
+        # the root's chain edge on "a" is the first comparison, then the
+        # scan of the root's list ["b", "c", "d", 2, 3, 4] fails at "c"
+        automaton, _ = build("abcd", ChildStorageMode.UNORDERED)
+        before = transition_lists(automaton)
+        symbol = FailsOnCall(3)
+        with pytest.raises(ArithmeticError):
+            if batch:
+                automaton._add_batch([symbol], [])
+            else:
+                automaton.add_letter(symbol)
+        assert symbol.calls == 3
+        assert transition_lists(automaton) == before
+        with pytest.raises(RuntimeError, match="ArithmeticError"):
+            automaton.add_letter("a")
 
 
 class TestModeEquivalence:

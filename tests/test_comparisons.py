@@ -100,6 +100,15 @@ def test_unordered_automaton_comparisons_equal_child_probes(sigma):
     assert calls == automaton.counters().child_probes
 
 
+@pytest.mark.parametrize("sigma", [2, 16, 256])
+def test_unordered_batch_comparisons_equal_child_probes(sigma):
+    automaton = OnlineSuffixAutomaton(ChildStorageMode.UNORDERED)
+    w = word(sigma)
+    cuts = [w[i:i + 7] for i in range(0, N, 7)]
+    calls = comparisons(lambda cut: automaton._add_batch(cut, []), cuts)
+    assert calls == automaton.counters().child_probes
+
+
 @pytest.mark.parametrize("delta", [0, 1], ids=["odd", "even"])
 def test_manacher_compares_at_most_once_per_loop_pass(delta):
     tracker = OnlineManacher(delta)
