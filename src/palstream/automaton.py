@@ -104,35 +104,6 @@ class OnlineSuffixAutomaton:
         self._probes = 0
         self._failure: BaseException | None = None
 
-    # -- transitions ---------------------------------------------------------
-
-    def _slot(self, edges: list, c) -> int:
-        """Index of ``c`` among the symbols of ``edges``, or where it goes.
-
-        Both searches run in C, so the probe count is arithmetic.  Unordered,
-        it is exact: the scan of the ``m`` symbols runs on into ``edges[m]``,
-        which holds ``c`` itself while it runs (the target is put back in a
-        ``finally``).  ``c`` matches itself by identity, with no ``__eq__``
-        call and no exception to catch, so a miss returns ``m`` after ``m``
-        comparisons, and a hit at ``i`` costs ``i + 1``.  Ordered, it is an
-        upper bound, ``m.bit_length() + 1``: the most steps a bisection of
-        ``m`` symbols takes, plus a final equality test.  Every list holds at
-        least one transition.  :meth:`add_letter`'s walk inlines this search
-        and its count.
-        """
-        m = len(edges) >> 1
-        if self._ordered:
-            self._probes += m.bit_length() + 1
-            return bisect_left(edges, c, 0, m)
-        target = edges[m]
-        edges[m] = c
-        try:
-            i = edges.index(c, 0, m + 1)
-        finally:
-            edges[m] = target
-        self._probes += i + 1 if i < m else m
-        return i
-
     # -- construction ----------------------------------------------------------
 
     def add_letter(self, c) -> int:
@@ -155,8 +126,7 @@ class OnlineSuffixAutomaton:
         try:
             link, out, ordered = self._link, self._out, self._ordered
             # The walk counts its probes and hops in these locals and adds
-            # them to the totals once it ends.  It searches each state's list
-            # as _slot does, inline, at the same probe cost.
+            # them to the totals once it ends.
             probes = hops = 0
             p = link[cur - 1]  # cur - 1 reaches cur by its chain edge
             while p != -1:
@@ -302,8 +272,18 @@ class OnlineSuffixAutomaton:
         takes over the transitions on ``c`` into ``q`` from ``p`` and the
         states on ``p``'s suffix path.  ``p``'s transition is
         ``p_edges[target]``, where :meth:`add_letter`'s walk found it.
-        Returns the clone."""
-        text, link, out = self._text, self._link, self._out
+        Returns the clone.
+
+        ``q``'s strings are the suffixes of its longest one that are longer
+        than its suffix link, so a state on ``p``'s suffix path leads to ``q``
+        on ``c`` exactly while its length is at least that of ``q``'s old
+        link (Blumer et al., 1985).  The redirect stops on that length, and
+        every search it makes is a hit in a stored list: from a state shorter
+        than ``p``, ``q`` is not solid, so it is never a chain edge.  A state
+        there that stores no transition on ``c`` to ``q`` raises
+        :class:`RuntimeError`: the structure is corrupt.
+        """
+        text, link, out, ordered = self._text, self._link, self._out, self._ordered
         clone_len, clone_link, clone_out = self._clone_len, self._clone_link, self._clone_out
         k = len(clone_len)
         n = len(text) - 2
@@ -312,41 +292,57 @@ class OnlineSuffixAutomaton:
                                f"> 2n - 1 = {2 * n - 1}")
         clone = ~k
         clone_len.append(length)
+        probes = 0
         if q >= 0:
-            # the clone's transitions are q's, its chain edge made explicit
+            # the clone's transitions are q's, its chain edge made explicit;
+            # q stores no transition on the chain symbol, so unordered mode
+            # appends it and ordered mode bisects only for where it goes
             chain = text[q + 2]
             edges = out.get(q)
             if edges is None:
                 edges = [chain, q + 1]
             else:
                 edges = edges.copy()
-                i = self._slot(edges, chain)
-                edges.insert((len(edges) >> 1) + i, q + 1)
+                m = len(edges) >> 1
+                if ordered:
+                    probes = m.bit_length() + 1
+                    i = bisect_left(edges, chain, 0, m)
+                else:
+                    i = m
+                edges.insert(m + i, q + 1)
                 edges.insert(i, chain)
             clone_out.append(edges)
-            clone_link.append(link[q])
+            old_link = link[q]
             link[q] = clone
         else:
             clone_out.append(clone_out[~q].copy())
-            clone_link.append(clone_link[~q])
+            old_link = clone_link[~q]
             clone_link[~q] = clone
+        clone_link.append(old_link)
+        bound = old_link if old_link >= 0 else clone_len[~old_link]
         p_edges[target] = clone
-        self._hops += 1
+        hops = 1
         p = link[p] if p >= 0 else clone_link[~p]
-        while p != -1:
-            if p >= 0:
-                self._probes += 1
-                if text[p + 2] == c:  # a chain edge is solid, so never to q
-                    break
-                edges = out[p]
+        while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound:
+            edges = out.get(p, ()) if p >= 0 else clone_out[~p]
+            m = len(edges) >> 1
+            if ordered:
+                probes += m.bit_length() + 1
+                i = bisect_left(edges, c, 0, m)
             else:
-                edges = clone_out[~p]
-            i = self._slot(edges, c) + (len(edges) >> 1)
-            if edges[i] != q:
-                break
-            edges[i] = clone
-            self._hops += 1
+                try:
+                    i = edges.index(c, 0, m)
+                except ValueError:
+                    i = m
+                probes += i + 1
+            if i == m or edges[m + i] != q:
+                raise RuntimeError(f"automaton corrupt: state {p} has no transition "
+                                   f"on {c!r} to state {q}")
+            edges[m + i] = clone
+            hops += 1
             p = link[p] if p >= 0 else clone_link[~p]
+        self._probes += probes
+        self._hops += hops
         return clone
 
     # -- queries ---------------------------------------------------------------

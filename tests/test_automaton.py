@@ -5,8 +5,10 @@ The automaton replaced an Ukkonen suffix tree; the tests that still apply
 kept their names.  The benchmark still calls this layer `ukkonen`."""
 
 import random
+import string
 import sys
 import tracemalloc
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import palstream.automaton
 from palstream import ChildStorageMode, OnlineSuffixAutomaton
 from palstream.oracle import naive_min_unique_suffix
+from reference import _SuffixAutomaton
 from support import FailsOnCall, all_strings, fibonacci_word, limit_symbols
 
 REFERENCE_WORD = "abadaadcaa"
@@ -58,8 +61,7 @@ def explicit(a, s):
 
 def chain(a, s):
     """The chain edge of state s as a (symbol, target) pair, or None."""
-    text = text_of(a)
-    return (text[s], s + 1) if 0 <= s < len(text) else None
+    return (a._text[s + 2], s + 1) if 0 <= s < len(a._text) - 2 else None
 
 
 def transitions(a, s):
@@ -344,8 +346,9 @@ def transition_lists(a):
 
 
 class TestUnorderedScan:
-    """The unordered walks and ``_slot`` find a missing symbol at the
-    stand-in they put in the first target slot, not through ``ValueError``."""
+    """The unordered walks find a missing symbol at the stand-in they put in
+    the first target slot, not through ``ValueError``; ``_clone`` searches
+    only for symbols that are there."""
 
     def test_walks_raise_no_exception(self):
         w = random.Random(17).choices("abcdefghijklmnopqrstuvwxyz", k=1000)
@@ -367,7 +370,7 @@ class TestUnorderedScan:
         finally:
             sys.setprofile(previous)
         assert raised == []
-        assert len(one._clone_len) > 100  # so _clone searched with _slot too
+        assert len(one._clone_len) > 100  # so _clone searched too
 
     @pytest.mark.parametrize("batch", [False, True], ids=["add_letter", "_add_batch"])
     def test_failed_comparison_restores_the_borrowed_slot(self, batch):
@@ -400,6 +403,106 @@ class TestModeEquivalence:
                 assert link(a_ord, s) == link(a_uno, s)
                 assert length(a_ord, s) == length(a_uno, s)
                 assert transitions(a_ord, s) == transitions(a_uno, s)
+
+
+def built(w, mode, batch):
+    """The automaton of w, through add_letter or through _add_batch in cuts
+    of 7."""
+    automaton = OnlineSuffixAutomaton(mode)
+    if batch:
+        for cut in range(0, len(w), 7):
+            automaton._add_batch(w[cut:cut + 7], [])
+    else:
+        for c in w:
+            automaton.add_letter(c)
+    return automaton
+
+
+def assert_matches_reference(w, mode):
+    """Build w through both paths and check each against perfbench's
+    textbook automaton, whose clone redirect stops at the first state that
+    does not lead to the split state: states matched by a breadth-first
+    search from both roots have equal lengths, links and transitions.
+
+    Plain asserts, so that CI can run it outside pytest on long words."""
+    ref = _SuffixAutomaton()
+    for c in w:
+        ref.add(c)
+    for batch in (False, True):
+        a = built(w, mode, batch)
+        match = {0: 0}
+        queue = deque([0])
+        while queue:
+            s = queue.popleft()
+            r = match[s]
+            assert length(a, s) == ref.length[r], (batch, s, r)
+            mine = transitions(a, s)
+            assert mine.keys() == ref.next[r].keys(), (batch, s, r)
+            for sym, t in mine.items():
+                if t not in match:
+                    match[t] = ref.next[r][sym]
+                    queue.append(t)
+                assert match[t] == ref.next[r][sym], (batch, s, sym)
+        assert len(match) == len(set(match.values())) == len(states(a)) == len(ref.length)
+        for s, r in match.items():
+            assert match.get(link(a, s), -1) == ref.link[r], (batch, s)
+
+
+class TestReferenceAutomaton:
+    """``_clone``'s redirect stops on state lengths; the reference's stops
+    by search.  A wrong stop would leave a transition into the wrong state,
+    or move one too many."""
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_isomorphic_to_the_reference(self, mode, monkeypatch):
+        kinds = Counter()
+        clone = OnlineSuffixAutomaton._clone
+
+        def counting_clone(a, p, q, *rest):
+            kinds["of a clone" if q < 0 else "of a prefix state with a list"
+                  if q in a._out else "of a prefix state without a list"] += 1
+            hops = a._hops
+            made = clone(a, p, q, *rest)
+            # one hop is p's own transition, which the walk found
+            kinds["loop redirecting two or more states"] += a._hops - hops >= 3
+            return made
+
+        monkeypatch.setattr(OnlineSuffixAutomaton, "_clone", counting_clone)
+        for alphabet in ("ab", "abc", string.ascii_lowercase):
+            assert_matches_reference(random.Random(1).choices(alphabet, k=2000), mode)
+        # on "ab" alone, 530, 8 and 83 of the three kinds gated here
+        assert all(kinds[kind] > 0 for kind in (
+            "of a clone", "of a prefix state with a list",
+            "loop redirecting two or more states")), kinds
+
+
+class TestCorruptRedirect:
+    """``_clone`` trusts the structure to say where its redirect ends.  A
+    state it must redirect that does not lead to the split state raises
+    (an explicit ``raise``, so ``python -O`` keeps it) and stops the
+    automaton."""
+
+    # "aaba" + "b" splits state 3 ("aab", "ab", "b"): state 1 ("a"), where
+    # the walk stops, and then the root lead to it on "b"
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("batch", [False, True], ids=["add_letter", "_add_batch"])
+    @pytest.mark.parametrize("corruption", ["wrong_target", "missing_symbol"])
+    def test_corrupt_slot_raises_and_stops(self, mode, batch, corruption):
+        automaton, _ = build("aaba", mode)
+        assert automaton._out[0] == ["b", 3]
+        if corruption == "wrong_target":
+            automaton._out[0][1] = 2
+        else:
+            del automaton._out[0]
+        with pytest.raises(RuntimeError, match="^automaton corrupt: state 0 has "
+                                               "no transition on 'b' to state 3$") as first:
+            if batch:
+                automaton._add_batch(["b"], [])
+            else:
+                automaton.add_letter("b")
+        with pytest.raises(RuntimeError, match="automaton unusable") as later:
+            automaton.add_letter("a")
+        assert later.value.__cause__ is first.value
 
 
 class TestMemory:

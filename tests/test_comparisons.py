@@ -8,13 +8,14 @@ with one fresh symbol object per position, so that no identity shortcut
 (``list.index`` tries ``is`` first) hides a comparison.
 
 Limits, set from the counts measured when this module was written and never
-to be widened:
+to be widened; the measured counts given are the current ones:
 
 - ordered, comparisons per symbol ≤ 1.5·log₂σ + 10: limits 11.5 / 16 / 22 /
-  28 for σ = 2 / 16 / 256 / 4096, against 10.28 / 11.93 / 18.51 / 20.10
-  measured, so at least 11% headroom;
+  28 for σ = 2 / 16 / 256 / 4096, against 6.84 / 9.49 / 16.59 / 17.62
+  measured, so at least 32% headroom;
 - unordered, comparisons grow at least 0.5 × 16 = 8× from σ = 16 to σ = 256
-  (measured 9.4×).  σ = 2 → 16 grows only 3.0× and is not gated;
+  (measured 12.79 → 143.93, 11.3×).  σ = 2 → 16 grows only 2.5× and is not
+  gated;
 - a Manacher tracker makes at most one comparison per loop pass (measured
   28,359 against 34,555 passes on σ = 2).
 
