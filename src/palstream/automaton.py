@@ -73,6 +73,10 @@ class OnlineSuffixAutomaton:
       ``__eq__``.  ``_out`` is a dict holding only the prefix states
       that have a list: on the texts measured, the root and at most 19
       others.  Every clone has a list, so ``_clone_out`` is a list.
+    - A clone descends, directly or through clones, from one prefix state
+      ``_clone_src[k]`` (a :func:`~palstream.manacher._new_ints` array) and
+      stores that state's chain edge with ``None`` for its target: ``None``
+      means ``_clone_src[k] + 1``, until a redirect overwrites it.
 
     The automaton owns its text, ``[None, boundary, s1, s2, ...]`` as
     :class:`~palstream.manacher.OnlineManacher` lays it out, so symbol
@@ -88,7 +92,7 @@ class OnlineSuffixAutomaton:
     """
 
     __slots__ = ("mode", "_ordered", "_text", "_link", "_out", "_clone_len",
-                 "_clone_link", "_clone_out", "_hops", "_probes", "_failure")
+                 "_clone_link", "_clone_out", "_clone_src", "_hops", "_probes", "_failure")
 
     def __init__(self, mode: ChildStorageMode | str = ChildStorageMode.ORDERED) -> None:
         self.mode = ChildStorageMode(mode)
@@ -100,6 +104,7 @@ class OnlineSuffixAutomaton:
         self._clone_len = _new_ints(0)
         self._clone_link = _new_ints(0)
         self._clone_out: list = [None]
+        self._clone_src = _new_ints(-1)
         self._hops = 0
         self._probes = 0
         self._failure: BaseException | None = None
@@ -173,6 +178,8 @@ class OnlineSuffixAutomaton:
             if p == -1:  # c is new: only the empty suffix occurs earlier
                 link.append(0)
                 return 1
+            if q is None:  # a clone's copied chain edge
+                q = self._clone_src[~p] + 1
             clone_len = self._clone_len
             len_p = p if p >= 0 else clone_len[~p]
             # the new state's link has length len_p + 1, whether q or a clone
@@ -207,6 +214,7 @@ class OnlineSuffixAutomaton:
         append_symbol, answer = text.append, answers.append
         link, out, ordered = self._link, self._out, self._ordered
         clone_out, clone_link, clone_len = self._clone_out, self._clone_link, self._clone_len
+        clone_src = self._clone_src
         probes = hops = 0
         try:
             for c in symbols:
@@ -254,6 +262,8 @@ class OnlineSuffixAutomaton:
                     link.append(0)
                     answer(1)
                     continue
+                if q is None:
+                    q = clone_src[~p] + 1
                 len_p = p if p >= 0 else clone_len[~p]
                 if len_p + 1 == (q if q >= 0 else clone_len[~q]):
                     link.append(q)
@@ -272,7 +282,9 @@ class OnlineSuffixAutomaton:
         takes over the transitions on ``c`` into ``q`` from ``p`` and the
         states on ``p``'s suffix path.  ``p``'s transition is
         ``p_edges[target]``, where :meth:`add_letter`'s walk found it.
-        Returns the clone.
+        Returns the clone.  A clone of a prefix state ``q`` stores ``q``'s
+        chain edge with the target ``None`` and ``q`` in ``_clone_src``; a
+        clone of a clone copies its list and its ``_clone_src``.
 
         ``q``'s strings are the suffixes of its longest one that are longer
         than its suffix link, so a state on ``p``'s suffix path leads to ``q``
@@ -280,11 +292,13 @@ class OnlineSuffixAutomaton:
         link (Blumer et al., 1985).  The redirect stops on that length, and
         every search it makes is a hit in a stored list: from a state shorter
         than ``p``, ``q`` is not solid, so it is never a chain edge.  A state
-        there that stores no transition on ``c`` to ``q`` raises
-        :class:`RuntimeError`: the structure is corrupt.
+        there that stores no transition on ``c`` to ``q``, ``None`` read
+        through its ``_clone_src``, raises :class:`RuntimeError`: the
+        structure is corrupt.
         """
         text, link, out, ordered = self._text, self._link, self._out, self._ordered
         clone_len, clone_link, clone_out = self._clone_len, self._clone_link, self._clone_out
+        clone_src = self._clone_src
         k = len(clone_len)
         n = len(text) - 2
         if k >= n - 1:  # Blumer et al.: at most 2n - 1 states once n >= 2
@@ -292,15 +306,16 @@ class OnlineSuffixAutomaton:
                                f"> 2n - 1 = {2 * n - 1}")
         clone = ~k
         clone_len.append(length)
+        clone_src.append(q if q >= 0 else clone_src[~q])
         probes = 0
         if q >= 0:
-            # the clone's transitions are q's, its chain edge made explicit;
+            # the clone's transitions are q's and its chain edge, target None;
             # q stores no transition on the chain symbol, so unordered mode
             # appends it and ordered mode bisects only for where it goes
             chain = text[q + 2]
             edges = out.get(q)
             if edges is None:
-                edges = [chain, q + 1]
+                edges = [chain, None]
             else:
                 edges = edges.copy()
                 m = len(edges) >> 1
@@ -309,7 +324,7 @@ class OnlineSuffixAutomaton:
                     i = bisect_left(edges, chain, 0, m)
                 else:
                     i = m
-                edges.insert(m + i, q + 1)
+                edges.insert(m + i, None)
                 edges.insert(i, chain)
             clone_out.append(edges)
             old_link = link[q]
@@ -335,7 +350,10 @@ class OnlineSuffixAutomaton:
                 except ValueError:
                     i = m
                 probes += i + 1
-            if i == m or edges[m + i] != q:
+            t = edges[m + i] if i < m else -1
+            if t is None:  # the chain edge a clone copied
+                t = clone_src[~p] + 1
+            if t != q:
                 raise RuntimeError(f"automaton corrupt: state {p} has no transition "
                                    f"on {c!r} to state {q}")
             edges[m + i] = clone

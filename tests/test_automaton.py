@@ -53,10 +53,11 @@ def link(a, s):
 
 def explicit(a, s):
     """Explicit transitions of state s as (symbol, target) pairs, in storage
-    order."""
+    order, with a clone's None target read as its source's chain edge."""
     edges = a._out.get(s, []) if s >= 0 else a._clone_out[~s]
     m = len(edges) // 2
-    return list(zip(edges[:m], edges[m:]))
+    return [(sym, a._clone_src[~s] + 1 if target is None else target)
+            for sym, target in zip(edges[:m], edges[m:])]
 
 
 def chain(a, s):
@@ -179,18 +180,21 @@ class TestMinUniqueSuffix:
 class TestStructure:
     def test_layout_golden(self):
         # "abb": the second b splits the state of "ab" (reached from the root
-        # by a non-solid b edge) into clone ~1 for "b" and state 2 for "ab"
+        # by a non-solid b edge) into clone ~1 for "b" and state 2 for "ab";
+        # the clone stores state 2's chain edge on b with the target None,
+        # read as _clone_src[1] + 1 == 3
         automaton, _ = build("abb")
         assert list(automaton._link) == [-1, 0, ~1, ~1]
         assert list(automaton._clone_len) == [0, 1]
         assert list(automaton._clone_link) == [0, 0]
         assert automaton._out == {0: ["b", ~1]}
-        assert automaton._clone_out == [None, ["b", 3]]
+        assert automaton._clone_out == [None, ["b", None]]
+        assert list(automaton._clone_src) == [-1, 2]
         # "ababb": the second b splits state 2 ("ab"), which stores the
         # transition on b to 5, so the clone copies that list and adds
-        # state 2's chain edge on a to 3
-        clone_edges = {ChildStorageMode.ORDERED: ["a", "b", 3, 5],
-                       ChildStorageMode.UNORDERED: ["b", "a", 5, 3]}
+        # state 2's chain edge on a, to 3, as None
+        clone_edges = {ChildStorageMode.ORDERED: ["a", "b", None, 5],
+                       ChildStorageMode.UNORDERED: ["b", "a", 5, None]}
         for mode, edges in clone_edges.items():
             automaton = OnlineSuffixAutomaton(mode)
             assert [automaton.add_letter(c) for c in "ababb"] == [1, 1, 2, 3, 2]
@@ -299,7 +303,7 @@ class TestBoundsAndCounters:
 
 def layout(a):
     return (a._text[2:], list(a._link), a._out, list(a._clone_len),
-            list(a._clone_link), a._clone_out, a.counters())
+            list(a._clone_link), a._clone_out, list(a._clone_src), a.counters())
 
 
 class TestBatch:
@@ -451,29 +455,47 @@ def assert_matches_reference(w, mode):
 class TestReferenceAutomaton:
     """``_clone``'s redirect stops on state lengths; the reference's stops
     by search.  A wrong stop would leave a transition into the wrong state,
-    or move one too many."""
+    or move one too many.  A clone's ``None`` target, read through
+    ``_clone_src``, must be read right by the walks and by the redirect."""
 
     @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
     def test_isomorphic_to_the_reference(self, mode, monkeypatch):
         kinds = Counter()
         clone = OnlineSuffixAutomaton._clone
 
-        def counting_clone(a, p, q, *rest):
+        def counting_clone(a, p, q, c, length, p_edges, target):
             kinds["of a clone" if q < 0 else "of a prefix state with a list"
                   if q in a._out else "of a prefix state without a list"] += 1
+            # a clone is shorter than its source state, so the transition a
+            # None target stands for is never solid: a walk hit on one clones
+            kinds["walk hit on a None target"] += p_edges[target] is None
+            none_slots = []  # slots on c holding None further along p's suffix path
+            s = link(a, p)
+            while s != -1:
+                edges = a._clone_out[~s] if s < 0 else ()
+                m = len(edges) // 2
+                if c in edges[:m]:
+                    slot = m + edges.index(c, 0, m)
+                    if edges[slot] is None:
+                        none_slots.append((edges, slot))
+                s = link(a, s)
             hops = a._hops
-            made = clone(a, p, q, *rest)
+            made = clone(a, p, q, c, length, p_edges, target)
             # one hop is p's own transition, which the walk found
             kinds["loop redirecting two or more states"] += a._hops - hops >= 3
+            kinds["redirect over a None target"] += sum(
+                edges[slot] == made for edges, slot in none_slots)
             return made
 
         monkeypatch.setattr(OnlineSuffixAutomaton, "_clone", counting_clone)
         for alphabet in ("ab", "abc", string.ascii_lowercase):
             assert_matches_reference(random.Random(1).choices(alphabet, k=2000), mode)
-        # on "ab" alone, 530, 8 and 83 of the three kinds gated here
+        # on "ab" alone, one build makes 530, 8, 83, 970 and 176 of the kinds
+        # gated here
         assert all(kinds[kind] > 0 for kind in (
             "of a clone", "of a prefix state with a list",
-            "loop redirecting two or more states")), kinds
+            "loop redirecting two or more states", "walk hit on a None target",
+            "redirect over a None target")), kinds
 
 
 class TestCorruptRedirect:
@@ -504,6 +526,28 @@ class TestCorruptRedirect:
             automaton.add_letter("a")
         assert later.value.__cause__ is first.value
 
+    # "aabbab" + "b" splits state 4 ("aabb", "abb", "bb"), which the walk
+    # reaches from clone ~2 ("ab"); the redirect then reaches clone ~1 ("b"),
+    # whose transition on "b" to 4 is the None it copied from state 3's
+    # chain edge
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("batch", [False, True], ids=["add_letter", "_add_batch"])
+    def test_wrong_clone_source_raises_and_stops(self, mode, batch):
+        automaton, _ = build("aabbab", mode)
+        edges = automaton._clone_out[1]
+        assert edges[len(edges) // 2 + edges.index("b")] is None
+        assert automaton._clone_src[1] == 3
+        automaton._clone_src[1] = 2  # None now reads as 3
+        with pytest.raises(RuntimeError, match=f"^automaton corrupt: state {~1} has "
+                                               "no transition on 'b' to state 4$") as first:
+            if batch:
+                automaton._add_batch(["b"], [])
+            else:
+                automaton.add_letter("b")
+        with pytest.raises(RuntimeError, match="automaton unusable") as later:
+            automaton.add_letter("a")
+        assert later.value.__cause__ is first.value
+
 
 class TestMemory:
     """Bytes the automaton still holds after 20,000 symbols, per symbol.
@@ -517,6 +561,11 @@ class TestMemory:
     12.93 unordered; the limit, a^n plus 1.0, leaves 0.92 headroom.  A
     list slot per prefix state up to the highest with transitions read
     21.48 on the Fibonacci word (with 8-byte links).
+
+    Random a-z text clones at a third of its symbols, so it measures the
+    transition lists: 95.99 ordered and 95.96 unordered.  A clone that
+    stores its source's chain edge as a boxed int read 103.31 and 103.25;
+    the limit, 99.5, lies between.
     """
 
     @staticmethod
@@ -541,3 +590,8 @@ class TestMemory:
     def test_fibonacci_costs_no_more_than_unary(self, mode):
         unary = self.bytes_per_symbol("a" * 20_000, mode)
         assert self.bytes_per_symbol(fibonacci_word(20_000), mode) <= unary + 1.0
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_random_text_costs_at_most_99_5_bytes(self, mode):
+        w = random.Random(1).choices(string.ascii_lowercase, k=20_000)
+        assert self.bytes_per_symbol(w, mode) <= 99.5

@@ -469,7 +469,7 @@ class TestCapacity:
         det, _ = run(REFERENCE_WORD)
         tree = det._tree
         for ints in (det._odd._rad, det._even._rad, tree._link, tree._clone_len,
-                     tree._clone_link):
+                     tree._clone_link, tree._clone_src):
             stored = list(ints)
             assert ints.itemsize == 4
             for value in (2**31, -2**31 - 1):
@@ -486,8 +486,8 @@ class TestCapacity:
 
         def state():
             return (list(a._text), list(a._link), a._out, list(a._clone_len),
-                    list(a._clone_link), a._clone_out, a.counters(),
-                    a.min_unique_suff())
+                    list(a._clone_link), a._clone_out, list(a._clone_src),
+                    a.counters(), a.min_unique_suff())
         before = repr(state())
         for c in "ab":
             with pytest.raises(OverflowError, match=self.FULL):
