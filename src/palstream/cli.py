@@ -78,16 +78,27 @@ def _chunks(stream, out, decode=None) -> Iterator:
 
 
 def _token_lists(stream, out) -> Iterator[list[str]]:
-    """The input's whitespace-separated tokens, one list per read."""
+    """The input's whitespace-separated tokens, one list per read.
+
+    A token that a read leaves open is kept as the pieces each read brings
+    and joined once, in the list of the read that ends it, so a long token
+    costs time linear in its length.
+    """
     decode = codecs.getincrementaldecoder("utf-8")().decode
-    tail = ""
+    head: list[str] = []  # the pieces of the token the reads so far leave open
     for chunk in _chunks(stream, out, decode):
-        chunk = tail + chunk
         parts = chunk.split()
-        tail = parts.pop() if parts and not chunk[-1].isspace() else ""
+        if head and chunk:
+            if not chunk[0].isspace():  # the chunk goes on with the open token
+                head.append(parts.pop(0))
+            if parts or chunk[-1].isspace():  # and ends it
+                parts.insert(0, "".join(head))
+                head = []
+        if parts and not chunk[-1].isspace():
+            head = [parts.pop()]
         yield parts
-    if tail:
-        yield [tail]
+    if head:
+        yield ["".join(head)]
 
 
 def _discard_stdout() -> None:

@@ -7,34 +7,9 @@ appended symbol, in amortized constant time per symbol.
 
 from __future__ import annotations
 
-from array import array
+from ._buffer import _MAX_SYMBOLS, _new_ints, _new_text
 
 __all__ = ["OnlineManacher"]
-
-#: The most symbols one text holds.  Every int the trackers and the suffix
-#: automaton store (a radius, a state, a clone's length) is then below
-#: 2**31 in magnitude, so it fits the 4 bytes of a :func:`_new_ints` item.
-_MAX_SYMBOLS = 2**31 - 1
-
-
-def _new_ints(*values: int) -> array:
-    """A growable array of ``values``, 4 bytes an item.
-
-    CPython caches the ints up to 256 only, so a list would box every larger
-    value in an object of its own.  Storing a value outside the 4-byte range
-    raises :class:`OverflowError`; it is never truncated.
-    """
-    return array("i", values)
-
-
-def _new_text() -> list:
-    """An empty symbol buffer: ``[None, boundary]``, then one slot per symbol.
-
-    Slot 0 is padding, so that positions are 1-based.  Slot 1 is the
-    boundary, a fresh object no caller can hold, so it equals no input
-    symbol and every palindrome stops there.
-    """
-    return [None, object()]
 
 
 class OnlineManacher:
@@ -43,11 +18,10 @@ class OnlineManacher:
     ``delta`` selects the parity: 0 tracks odd-length palindromes, 1 tracks
     even-length ones.  Symbols may be any objects supporting equality.
 
-    The text is ``[None, boundary, s1, s2, ...]`` (see :func:`_new_text`):
-    positions are 1-based and no palindrome reaches past the boundary at
-    position 1.  An odd palindrome centered at position ``j`` with radius
-    ``r`` spans ``text[j-r .. j+r]`` and an even one spans
-    ``text[j-r+1 .. j+r]``.
+    The text is a symbol buffer laid out as :mod:`palstream._buffer`
+    describes, so no palindrome reaches past its boundary.  An odd
+    palindrome centered at position ``j`` with radius ``r`` spans
+    ``text[j-r .. j+r]`` and an even one spans ``text[j-r+1 .. j+r]``.
 
     The current center ``_i`` is that of the maximal suffix-palindrome, and
     ``_r`` is its radius.  ``_rad`` is indexed by position and holds one

@@ -21,8 +21,9 @@ def fibonacci_word(n):
 
 
 def limit_symbols(monkeypatch, limit):
-    """Let a text hold at most ``limit`` symbols.  ``automaton.py`` imports
-    ``_MAX_SYMBOLS`` from ``manacher.py``, so both modules' names are set."""
+    """Let a text hold at most ``limit`` symbols.  ``manacher.py`` and
+    ``automaton.py`` each import ``_MAX_SYMBOLS`` from ``_buffer.py`` and
+    read their own global on every symbol, so the name is set in both."""
     for module in (palstream.manacher, palstream.automaton):
         monkeypatch.setattr(module, "_MAX_SYMBOLS", limit)
 

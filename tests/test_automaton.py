@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import palstream.automaton
+import palstream.manacher
 from palstream import ChildStorageMode, OnlineSuffixAutomaton
 from palstream.oracle import naive_min_unique_suffix
 from reference import _SuffixAutomaton
@@ -569,7 +570,9 @@ class TestMemory:
     """
 
     @staticmethod
-    def bytes_per_symbol(word, mode):
+    def held_in(source, word, mode):
+        """The blocks filed under the module ``source`` that an automaton
+        still holds once it has taken ``word``."""
         tracemalloc.start()
         try:
             a = OnlineSuffixAutomaton(mode)
@@ -578,9 +581,13 @@ class TestMemory:
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        source = tracemalloc.Filter(True, palstream.automaton.__file__)
-        held = snapshot.filter_traces([source])
-        return sum(stat.size for stat in held.statistics("filename")) / len(word)
+        held = snapshot.filter_traces([tracemalloc.Filter(True, source.__file__)])
+        return held.statistics("filename")
+
+    @classmethod
+    def bytes_per_symbol(cls, word, mode):
+        held = cls.held_in(palstream.automaton, word, mode)
+        return sum(stat.size for stat in held) / len(word)
 
     @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
     def test_unary_costs_at_most_14_bytes(self, mode):
@@ -595,3 +602,10 @@ class TestMemory:
     def test_random_text_costs_at_most_99_5_bytes(self, mode):
         w = random.Random(1).choices(string.ascii_lowercase, k=20_000)
         assert self.bytes_per_symbol(w, mode) <= 99.5
+
+    @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+    def test_no_block_is_filed_under_the_manacher_module(self, mode):
+        # tracemalloc files a block under the module that allocated it, and
+        # perfbench sums its per-layer memory figures by module
+        w = random.Random(1).choices(string.ascii_lowercase, k=1_000)
+        assert self.held_in(palstream.manacher, w, mode) == []

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import select
+import statistics
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from click.testing import CliRunner
 import palstream
 from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
 from palstream.bench import BenchConfig, run_config
-from palstream.cli import main
+from palstream.cli import _token_lists, main
 from support import limit_symbols
 import tracing
 
@@ -90,12 +91,23 @@ def table_records(text):
     return records
 
 
-class OneByteReads(io.BytesIO):
-    """An input stream whose every ``read1`` returns at most one byte, as a
-    pipe can when the writer is slow."""
+class ShortReads(io.BytesIO):
+    """An input stream whose every ``read1`` returns at most ``size`` bytes,
+    as a pipe can when the writer is slow."""
+
+    def __init__(self, data, size=1):
+        super().__init__(data)
+        self.size = size
 
     def read1(self, size=-1):
-        return super().read1(1)
+        return super().read1(self.size)
+
+
+class NoFlush:
+    """An output for ``_token_lists`` to flush before each read."""
+
+    def flush(self):
+        pass
 
 
 class CountingRaw(io.RawIOBase):
@@ -350,7 +362,7 @@ class TestRun(RunInChildChecks):
         assert result.exit_code == 1
         assert "failed reading input" in result.stderr
 
-    @pytest.mark.parametrize("stream", [bytes, OneByteReads])
+    @pytest.mark.parametrize("stream", [bytes, ShortReads])
     def test_truncated_utf8_at_eof_is_an_input_error(self, runner, stream):
         result = runner.invoke(main, ["run", "--tokens"], input=stream(b"ok \xc3"))
         assert result.exit_code == 1
@@ -362,14 +374,42 @@ class TestRun(RunInChildChecks):
         data = data.encode()
         one_shot = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"], input=data)
         by_byte = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"],
-                                input=OneByteReads(data))
+                                input=ShortReads(data))
         assert one_shot.exit_code == by_byte.exit_code == 0
         assert len(jsonl_records(one_shot.stdout)) == len(data.decode().split())
         assert by_byte.stdout == one_shot.stdout
 
+    def test_a_token_spans_three_reads(self, runner):
+        data = b"ab cdefghij k"  # read as "ab c", "defg", "hij ", "k", then EOF
+        lists = list(_token_lists(ShortReads(data, 4), NoFlush()))
+        assert lists == [["ab"], [], ["cdefghij"], [], ["k"]]
+        one_shot = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"], input=data)
+        by_four = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"],
+                                input=ShortReads(data, 4))
+        assert one_shot.exit_code == by_four.exit_code == 0
+        assert by_four.stdout == one_shot.stdout
+
+    def test_a_long_token_costs_linear_time(self):
+        # splitting the whole open token again on each 64 KiB read would
+        # make a doubling of its length take 4x the time
+        def seconds(data):
+            start = time.perf_counter()
+            for _ in _token_lists(io.BytesIO(data), NoFlush()):
+                pass
+            return time.perf_counter() - start
+
+        times = {b"x" * (8 << 20): [], b"x" * (16 << 20): []}
+        for data in times:  # a first run pays for the allocator's growth
+            seconds(data)
+        for _ in range(3):  # interleaved, so that a drift of the host hits both
+            for data, spent in times.items():
+                spent.append(seconds(data))
+        short, long = map(statistics.median, times.values())
+        assert long <= 2.5 * short
+
     def test_bytes_split_across_reads(self, runner):
         result = runner.invoke(main, ["run", "--format", "jsonl"],
-                               input=OneByteReads(REFERENCE_WORD.encode()))
+                               input=ShortReads(REFERENCE_WORD.encode()))
         assert result.exit_code == 0
         assert jsonl_records(result.stdout) == EXPECTED_RECORDS
 

@@ -58,23 +58,37 @@ def abx_blocks(n, rng):
     return "".join("ab" + x for x in xs)[:n]
 
 
+BOTH_MODES = tuple(ChildStorageMode)
+
+#: Each family: a word of ``n`` symbols, and the modes that run it.
 LONG_WORDS = {
-    "fibonacci": lambda: fibonacci_word(N),
-    "thue_morse": lambda: thue_morse(N),
-    "uniform_a": lambda: "a" * N,
-    "abx": lambda: abx_blocks(N, random.Random(3)),
-    "random_sigma2": lambda: "".join(random.Random(5).choices("ab", k=N)),
-    "random_sigma26": lambda: "".join(random.Random(7).choices(string.ascii_lowercase, k=N)),
-    "tokens256": lambda: random_tokens(N, random.Random(11)),
+    "fibonacci": (fibonacci_word, BOTH_MODES),
+    "thue_morse": (thue_morse, BOTH_MODES),
+    "uniform_a": (lambda n: "a" * n, BOTH_MODES),
+    "abx": (lambda n: abx_blocks(n, random.Random(3)), BOTH_MODES),
+    "random_sigma2": (lambda n: "".join(random.Random(5).choices("ab", k=n)), BOTH_MODES),
+    "random_sigma26": (lambda n: "".join(random.Random(7).choices(string.ascii_lowercase, k=n)),
+                       BOTH_MODES),
+    "tokens256": (lambda n: random_tokens(n, random.Random(11)), BOTH_MODES),
     # the reference's parity walk is quadratic on (ab)^k, so k stays small
-    "ab_repeated": lambda: "ab" * 2_000,
+    "ab_repeated": (lambda n: "ab" * min(n // 2, 2_000), BOTH_MODES),
+    # the automaton's size bounds (Blumer et al.): 2n - 1 states, then
+    # 3n - 4 transitions
+    "a_then_b_run": (lambda n: "a" + "b" * (n - 1), BOTH_MODES),
+    "a_then_b_run_then_c": (lambda n: "a" + "b" * (n - 2) + "c", BOTH_MODES),
+    # a long run, then symbols that end it: one push walks the whole run
+    "a_run_then_bca": (lambda n: "a" * (n - 3) + "bca", BOTH_MODES),
+    # large transition lists; an unordered scan of them is too slow here
+    "random_ints_sigma65536": (lambda n: random.Random(17).choices(range(1 << 16), k=n),
+                               (ChildStorageMode.ORDERED,)),
 }
 
 
 class TestLongWords:
     @pytest.mark.parametrize("name", list(LONG_WORDS))
     def test_every_report_matches(self, name):
-        assert_matches_reference(LONG_WORDS[name]())
+        word, modes = LONG_WORDS[name]
+        assert_matches_reference(word(N), modes)
 
 
 class TestPaddingSlots:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palstream import OnlineManacher, PalindromeDetector, manacher
+from palstream._buffer import _new_text
 from palstream.oracle import naive_max_suffix_palindrome
 from support import FailsOnCall, all_strings
 
@@ -274,7 +275,7 @@ class TestSpan:
         for _ in range(30):
             w = rng.choices("aab", k=rng.randint(1, 200))
             one, values = feed(delta, w)
-            text = [None, object()]
+            text = _new_text()
             spanned = OnlineManacher._over(text, delta)
             lengths = []
             for cut in range(0, len(w), 7):  # text[2 + k] is symbol k
@@ -290,10 +291,10 @@ class TestSpan:
         # those add_letter leaves after "aaa"
         before, values = feed(delta, "aaa")
         never = FailsOnCall(0)
-        OnlineManacher._over([None, object(), "a", "a", "a", never], delta)._add_span(2, 6, [])
+        OnlineManacher._over(_new_text() + ["a", "a", "a", never], delta)._add_span(2, 6, [])
         assert never.calls > 0
         for k in range(1, never.calls + 1):
-            m = OnlineManacher._over([None, object(), "a", "a", "a", FailsOnCall(k)], delta)
+            m = OnlineManacher._over(_new_text() + ["a", "a", "a", FailsOnCall(k)], delta)
             lengths = []
             with pytest.raises(ArithmeticError):
                 m._add_span(2, 6, lengths)
