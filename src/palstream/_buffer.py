@@ -3,7 +3,7 @@
 A text is the list :func:`_new_text` starts, ``[None, boundary, s1, s2,
 ...]``, so symbol ``k`` is ``text[k + 1]`` and no palindrome reaches past
 the boundary.  It holds at most :data:`_MAX_SYMBOLS` symbols, so every int
-the structures store fits an array from :func:`_new_ints`, 4 bytes an item.
+the automaton stores fits an array from :func:`_new_ints`, 4 bytes an item.
 """
 
 from __future__ import annotations

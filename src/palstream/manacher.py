@@ -7,7 +7,9 @@ appended symbol, in amortized constant time per symbol.
 
 from __future__ import annotations
 
-from ._buffer import _MAX_SYMBOLS, _new_ints, _new_text
+from array import array
+
+from ._buffer import _MAX_SYMBOLS, _new_text
 
 __all__ = ["OnlineManacher"]
 
@@ -27,12 +29,14 @@ class OnlineManacher:
     ``_r`` is its radius.  ``_rad`` is indexed by position and holds one
     final maximal radius for every position left of ``_i``, so
     ``len(_rad) == _i``: a center's radius is appended once, when the center
-    is left behind.  ``_rad`` is built by :func:`_new_ints`, 4 bytes a
-    radius.  Once a symbol has been added, every
-    :meth:`add_letter` starts with ``_i + _r == n``, ``n`` being the
-    position of the last symbol before the new one, so it first tests
-    whether the new symbol extends that palindrome, which touches no
-    storage.
+    is left behind.  ``_rad`` is an array in the narrowest typecode that
+    holds every radius so far: 'B' (1 byte a radius) until a radius passes
+    255, 'H' (2 bytes) until one passes 65,535, then 'i' (4 bytes), which
+    holds any radius in a text of ``_MAX_SYMBOLS`` symbols.  Once a symbol
+    has been added, every :meth:`add_letter` starts with ``_i + _r == n``,
+    ``n`` being the position of the last symbol before the new one, so it
+    first tests whether the new symbol extends that palindrome, which
+    touches no storage.
 
     A tracker built by the constructor owns its text and appends each
     symbol to it; once :meth:`add_letter` has raised (say, in a symbol's
@@ -53,7 +57,7 @@ class OnlineManacher:
         self.delta = delta
         self._text = _new_text()
         self._owns_text = True
-        self._rad = _new_ints(0, 0)  # padding and boundary; grown only by append
+        self._rad = array("B", (0, 0))  # padding and boundary; grown only by append
         self._i = 2  # the first symbol's center, one past the boundary
         self._r = 0
         self._loop_iters = 0
@@ -96,7 +100,13 @@ class OnlineManacher:
                 self._loop_iters += 1
                 return 2 * r + 3 - delta
             rad = self._rad
-            rad.append(r)  # the old center's radius is final
+            try:
+                rad.append(r)  # the old center's radius is final
+            except OverflowError:
+                # The only append that can outgrow rad: the search below
+                # appends stored radii clamped down, which already fit.
+                self._rad = rad = array("H" if r <= 0xFFFF else "i", rad)
+                rad.append(r)
             iters = 1
             mirror = 2 * i  # i + r == n: position k reflects onto mirror - k
             i += 1
@@ -144,7 +154,11 @@ class OnlineManacher:
                     iters += 1
                     append(2 * r + 1 - delta)
                     continue
-                rad.append(r)
+                try:
+                    rad.append(r)  # as in add_letter, the only one that can overflow
+                except OverflowError:
+                    self._rad = rad = array("H" if r <= 0xFFFF else "i", rad)
+                    rad.append(r)
                 passes = 1
                 mirror = 2 * i
                 j = i + 1

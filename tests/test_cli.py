@@ -6,7 +6,6 @@ import json
 import os
 import random
 import select
-import statistics
 import subprocess
 import sys
 import time
@@ -401,10 +400,12 @@ class TestRun(RunInChildChecks):
         times = {b"x" * (8 << 20): [], b"x" * (16 << 20): []}
         for data in times:  # a first run pays for the allocator's growth
             seconds(data)
-        for _ in range(3):  # interleaved, so that a drift of the host hits both
+        for _ in range(7):  # interleaved, so that a drift of the host hits both
             for data, spent in times.items():
                 spent.append(seconds(data))
-        short, long = map(statistics.median, times.values())
+        # other work on the host only adds time, so the fastest run of each
+        # size is the one it disturbed least
+        short, long = map(min, times.values())
         assert long <= 2.5 * short
 
     def test_bytes_split_across_reads(self, runner):

@@ -1,7 +1,7 @@
 """Tests for the combined per-symbol palindrome detector."""
 
 import random
-from itertools import count
+from itertools import count, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from palstream import (ChildStorageMode, DetectorSummary, OnlineManacher,
 from palstream import detector as detector_module
 from palstream import oracle
 from palstream.selftest import oracle_failures
+from reference import expected_reports
 from support import FailsOnCall, all_strings, limit_symbols, random_tokens
 from tracing import Tracer, trace_detector
 
@@ -459,17 +460,17 @@ class TestPinnedCounters:
 
 
 class TestCapacity:
-    """Every int a detector stores takes 4 bytes.  It fits because a text
-    holds at most ``_MAX_SYMBOLS`` symbols; one more is refused before any
-    structure changes."""
+    """Every int the automaton stores takes 4 bytes, and a Manacher radius
+    at most 4 (:class:`TestRadiusWidths`).  They fit because a text holds at
+    most ``_MAX_SYMBOLS`` symbols; one more is refused before any structure
+    changes."""
 
     FULL = "symbol limit reached: at most 5 symbols"
 
     def test_arrays_take_four_bytes_and_never_truncate(self):
         det, _ = run(REFERENCE_WORD)
         tree = det._tree
-        for ints in (det._odd._rad, det._even._rad, tree._link, tree._clone_len,
-                     tree._clone_link, tree._clone_src):
+        for ints in (tree._link, tree._clone_len, tree._clone_link, tree._clone_src):
             stored = list(ints)
             assert ints.itemsize == 4
             for value in (2**31, -2**31 - 1):
@@ -521,6 +522,81 @@ class TestCapacity:
                 det.push(c)
             assert isinstance(info.value.__cause__, OverflowError)
         assert det.n == 5
+
+
+def unary_report(n):
+    """The report after the n-th symbol of a^n: every prefix is itself a
+    new palindrome, and its one unique suffix."""
+    return (n, n - 1 + n % 2, n - n % 2, n, n, (1, n), n, n)
+
+
+class TestRadiusWidths:
+    """Each tracker stores its radii in an array('B') until a radius passes
+    255, then in an 'H' until one passes 65,535, then in an 'i'.  On a^n the
+    odd tracker leaves a center of radius r behind at symbol 2r + 2 and the
+    even one at 2r + 1, so the radii widen at symbols 513 (even) and 514
+    (odd), then 131,073 and 131,074."""
+
+    N = 131_080
+    # the typecode of the odd and of the even radii from each symbol of a^n on
+    UNARY_WIDTHS = ({1: "B", 514: "H", 131_074: "i"}, {1: "B", 513: "H", 131_073: "i"})
+
+    @classmethod
+    def unary_widths(cls, n):
+        """The typecodes of the odd and even radii after a^n."""
+        return tuple(codes[max(k for k in codes if k <= n)] for codes in cls.UNARY_WIDTHS)
+
+    @staticmethod
+    def widths(det):
+        return det._odd._rad.typecode, det._even._rad.typecode
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_standalone_tracker_widens_on_unary(self, delta):
+        m = OnlineManacher(delta)
+        for n in range(1, self.N + 1):
+            assert m.add_letter("a") == unary_report(n)[1 + delta], n
+            assert m._rad.typecode == self.unary_widths(n)[delta], n
+
+    def test_push_widens_on_unary(self):
+        det = PalindromeDetector()
+        for n in range(1, self.N + 1):
+            assert det.push("a") == unary_report(n), n
+            assert self.widths(det) == self.unary_widths(n), n
+
+    @pytest.mark.parametrize("cuts", [(), (512, 513, 514, 131_072, 131_073, 131_074)],
+                             ids=["whole", "cut_at_each_change"])
+    def test_feed_widens_on_unary(self, cuts):
+        # uncut, the batches of 256 put symbols 513 and 131,073 first in a
+        # batch and 514 and 131,074 second; cut, each of them is a batch
+        det = PalindromeDetector()
+        for start, stop in pairwise((0, *cuts, self.N)):
+            for n, report in enumerate(det.feed("a" * (stop - start)), start + 1):
+                assert report == unary_report(n), n
+            assert det.n == stop
+            assert self.widths(det) == self.unary_widths(stop), stop
+
+    def test_one_wide_radius_after_narrow_ones_widens_to_four_bytes(self):
+        # w z reverse(w): the center at z leaves radius |w| behind, past
+        # 'H', while every radius before it fits 'B'
+        w = random.Random(3).choices("abcdefghijklmnopqrstuvwxy", k=65_600)
+        word = [*w, "z", *reversed(w), "a"]
+        det = PalindromeDetector()
+        odd = OnlineManacher(0)
+        for c, report, want in zip(word, det.feed(word), expected_reports(word),
+                                   strict=True):
+            assert report == want, want[0]
+            assert odd.add_letter(c) == want[1], want[0]
+            if want[0] == 2 * len(w) + 1:  # the palindrome w z reverse(w)
+                assert odd._rad.typecode == "B"
+        assert self.widths(det) == ("i", "B") and odd._rad.typecode == "i"
+
+    def test_random_text_keeps_one_byte_radii(self):
+        det = PalindromeDetector()
+        for _ in det.feed(random.Random(1).choices("abcdefghijklmnopqrstuvwxyz",
+                                                   k=100_000)):
+            pass
+        assert det.n == 100_000
+        assert self.widths(det) == ("B", "B")
 
 
 class TestTracingHooks:

@@ -311,19 +311,23 @@ def random_letters(n, seed):
 class TestMemory:
     """Bytes the trackers still hold after 20,000 symbols, per symbol.
 
-    Each tracker keeps one radius per center left of its current one, 4
-    bytes in an ``array('i')``.  Measured with both trackers of a detector:
-    4.12 on a^n (the centers sit mid-text), 6.32 on (ab)^k and 8.53 on
-    random a-z; the limits leave 21%, 19% and 11% headroom.  8-byte radii
-    cross all three limits (they read 8.18, 12.60 and 17.01), and so does a
-    boxed int per radius or a placeholder slot per position right of the
-    center (a list of both read 48.5, 32.9 and 17.31).
+    Each tracker keeps one radius per center left of its current one, in
+    the narrowest array that holds them: 'B' on random a-z and on the even
+    radii of (ab)^k, which are all 0, and 'H' on a^n and the odd radii of
+    (ab)^k, which reach 10,000.  Measured with both trackers of a detector
+    on 3.10.13, 3.11.7, 3.12.1 and 3.13.0: 2.04-2.11 on a^n (the centers
+    sit mid-text), 2.09-2.10 on (ab)^k and 2.15 on random a-z; the limit,
+    2.5, leaves 16% to 22% headroom.  4-byte radii in an ``array('i')``
+    cross all three limits (4.10-4.18, 6.30 and 8.51), and so do 8-byte
+    radii, a boxed int per radius or a placeholder slot per position right
+    of the center.  Radii that start at 2 bytes cross the limits on (ab)^k
+    and random text (3.17 and 4.27 on 3.11.7).
     """
 
     @pytest.mark.parametrize("word, limit", [
-        ("a" * 20_000, 5.0),
-        ("ab" * 10_000, 7.5),
-        (random_letters(20_000, seed=7), 9.5),
+        ("a" * 20_000, 2.5),
+        ("ab" * 10_000, 2.5),
+        (random_letters(20_000, seed=7), 2.5),
     ], ids=["uniform", "alternating", "random"])
     def test_bytes_per_symbol(self, word, limit):
         tracemalloc.start()
