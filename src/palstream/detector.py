@@ -87,10 +87,10 @@ class DetectorSummary:
 class PalindromeDetector:
     """Streams symbols through the palindrome trackers and the suffix automaton.
 
-    Symbols may be any hashable objects that each equal themselves (so not
-    ``float("nan")``); ordered child-storage mode additionally needs them
-    totally ordered.  Symbols are not checked: outside this contract the
-    answers are wrong, and differ between the modes.  The
+    Symbols may be any objects, hashable or not, that each equal themselves
+    (so not ``float("nan")``); ordered child-storage mode additionally needs
+    them totally ordered.  Symbols are not checked: outside this contract
+    the answers are wrong, and differ between the modes.  The
     automaton owns the one symbol buffer and appends each symbol to it; both
     palindrome trackers read that buffer.  Independent detectors share no
     state; a single detector is single-writer.  A push that raises leaves

@@ -1,12 +1,14 @@
 """Mixed symbols in both child-storage modes.
 
-A valid symbol is hashable and equals itself; ordered mode also needs a total
-order.  Equal values (``0`` and ``False``; ``1``, ``1.0`` and ``True``) are
-one symbol, and a fresh ``object()`` equals only itself.  Each word is
-relabelled to ints, one label per class of equal symbols, and every report is
-compared with the linear-time reference of ``perfbench/reference.py`` over
-the labels.
+A valid symbol equals itself, hashable or not; ordered mode also needs a
+total order.  Equal values (``0`` and ``False``; ``1``, ``1.0`` and
+``True``) are one symbol, and a fresh ``object()`` equals only itself.  Each
+word is relabelled to ints, one label per class of equal symbols, and every
+report is compared with the linear-time reference of
+``perfbench/reference.py`` over the labels.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,19 @@ def test_reports_match_reference_on_labels(mode, data):
     detector = PalindromeDetector(mode)
     for c, want in zip(word, expected_reports([label(pool, c) for c in word])):
         assert detector.push(c) == want
+
+
+@pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+def test_lists_report_as_the_equal_tuples(mode):
+    # no structure hashes a symbol, and a list compares with lists as the
+    # equal tuple does with tuples; each list is a fresh object, so every
+    # match is made by ==, not by identity
+    tuples = random.Random(3).choices([(), (0,), (1,), (0, 1), (1, 0)], k=2_000)
+    lists = [list(t) for t in tuples]
+    by_tuple, by_list = PalindromeDetector(mode), PalindromeDetector(mode)
+    assert [by_list.push(c) for c in lists] == [by_tuple.push(c) for c in tuples]
+    assert by_list.finish() == by_tuple.finish()
+    assert list(PalindromeDetector(mode).feed(lists)) == list(PalindromeDetector(mode).feed(tuples))
 
 
 def stream_machine(mode):
