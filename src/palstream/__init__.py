@@ -2,8 +2,11 @@
 
 For every prefix of the input the package reports the maximal palindromic
 suffix (per parity and combined), the palindromic-closure length, and whether
-a never-before-seen palindrome just appeared, in amortized time logarithmic
-in the alphabet size per symbol (linear for alphabets with equality only).
+a never-before-seen palindrome just appeared.  Per symbol it makes amortized
+O(log sigma) symbol comparisons over an ordered alphabet of size sigma and
+O(sigma) over one with equality only.  Ordered-mode time also pays an O(sigma)
+list insert per new transition, so it grows faster than the comparisons once
+the alphabet is large.
 """
 
 from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters

@@ -11,8 +11,8 @@ more than that state's length is the shortest unique suffix.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._buffer import _MAX_SYMBOLS, _new_ints, _new_text
 
@@ -36,8 +36,7 @@ class ChildStorageMode(str, Enum):
     UNORDERED = "unordered"
 
 
-@dataclass(frozen=True, slots=True)
-class PerfCounters:
+class PerfCounters(NamedTuple):
     """Monotone structural totals, used to check the linear-size bounds."""
 
     nodes: int  # automaton states, root included

@@ -11,48 +11,17 @@ from __future__ import annotations
 import gc
 import random
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .automaton import ChildStorageMode
-from .detector import DetectorSummary, PalindromeDetector
+from .detector import PalindromeDetector
 
-__all__ = ["GENERATORS", "BenchConfig", "BenchMeasurement", "make_input",
-           "run_one", "run_config"]
+__all__ = ["GENERATORS", "BenchMeasurement", "make_input", "run_config"]
 
 GENERATORS = ("random", "abx", "uniform_a", "paper_example")
 
 
-@dataclass
-class BenchConfig:
-    """One benchmark request: a generator swept over sizes at one mode."""
-
-    generator: str
-    sigma: int = 2
-    sizes: tuple[int, ...] = (1000,)
-    mode: ChildStorageMode | str = ChildStorageMode.ORDERED
-    repetitions: int = 1
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}; "
-                             f"choose from {', '.join(GENERATORS)}")
-        if not self.sizes:
-            raise ValueError("at least one size is required")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("sizes must be strictly increasing")
-        if any(n < 1 for n in self.sizes):
-            raise ValueError("sizes must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.generator == "random" and self.sigma < 1:
-            raise ValueError("random generator needs sigma >= 1")
-        if self.generator == "abx" and self.sigma < 3:
-            raise ValueError("abx generator needs sigma >= 3")
-
-
-@dataclass
-class BenchMeasurement:
+class BenchMeasurement(NamedTuple):
     """Aggregated result for one (generator, size, mode) configuration.
 
     The fields are the keys of the benchmark's JSON record, in its order.
@@ -94,62 +63,72 @@ def make_input(generator: str, sigma: int, n: int, seed: int):
     raise ValueError(f"unknown generator {generator!r}")
 
 
-def run_one(symbols, mode: ChildStorageMode) -> tuple[float, DetectorSummary]:
-    """Time one full pass of the detector over ``symbols`` (GC paused)."""
-    detector = PalindromeDetector(mode)
-    push = detector.push
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for c in symbols:
-            push(c)
-        elapsed = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return elapsed, detector.finish()
+def run_config(generator: str, *, sigma: int = 2,
+               sizes: tuple[int, ...] = (1000,),
+               mode: ChildStorageMode | str = ChildStorageMode.ORDERED,
+               repetitions: int = 1, seed: int = 0) -> list[BenchMeasurement]:
+    """Run ``generator`` once per size at ``mode``, aggregating repetitions.
 
-
-def run_config(cfg: BenchConfig) -> list[BenchMeasurement]:
-    """Run one configuration per size, aggregating repetitions.
-
-    Each repetition derives its own input seed.  The totals of every
-    repetition are checked on the spot against the bounds of
-    :meth:`DetectorSummary.bound_problems` (4n loop passes, 2n - 1 states,
-    3n - 4 transitions); a violation is an engine bug, not a measurement
-    artifact, and raises.  paper_example always runs its one word, whatever
-    the sizes.
+    Each repetition derives its own input seed and times one full pass of
+    ``push`` with GC paused.  The totals of every repetition are checked on
+    the spot against the bounds of :meth:`DetectorSummary.bound_problems`
+    (4n loop passes, 2n - 1 states, 3n - 4 transitions); a violation is an
+    engine bug, not a measurement artifact, and raises.  paper_example
+    always runs its one word, whatever the sizes.
     """
-    if cfg.generator == "paper_example":
+    if generator not in GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}; "
+                         f"choose from {', '.join(GENERATORS)}")
+    if generator == "paper_example":
         from .selftest import REFERENCE_WORD
-        cfg = replace(cfg, sizes=(len(REFERENCE_WORD),))
-    cfg.validate()
-    mode = ChildStorageMode(cfg.mode)
+        sizes = (len(REFERENCE_WORD),)
+    if not sizes:
+        raise ValueError("at least one size is required")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
+    if any(n < 1 for n in sizes):
+        raise ValueError("sizes must be positive")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if generator == "random" and sigma < 1:
+        raise ValueError("random generator needs sigma >= 1")
+    if generator == "abx" and sigma < 3:
+        raise ValueError("abx generator needs sigma >= 3")
+    mode = ChildStorageMode(mode)
     results = []
-    for n in cfg.sizes:
+    for n in sizes:
         times = []
-        for rep in range(cfg.repetitions):
-            symbols = make_input(cfg.generator, cfg.sigma, n,
-                                 cfg.seed * 1_000_003 + rep)
-            elapsed, summary = run_one(symbols, mode)
+        for rep in range(repetitions):
+            symbols = make_input(generator, sigma, n, seed * 1_000_003 + rep)
+            detector = PalindromeDetector(mode)
+            push = detector.push
+            gc_was_enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                for c in symbols:
+                    push(c)
+                times.append(time.perf_counter() - start)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            summary = detector.finish()
             problems = summary.bound_problems()
             if problems:
                 raise RuntimeError(f"bound violated: {problems[0]} "
-                                   f"(gen={cfg.generator}, n={n}, rep={rep})")
-            times.append(elapsed)
+                                   f"(gen={generator}, n={n}, rep={rep})")
             if rep == 0:
-                first_summary = summary  # validate() guarantees a rep 0
+                first_summary = summary  # repetitions >= 1 guarantees a rep 0
         best = min(times)
         counters = first_summary.tree
         results.append(BenchMeasurement(
-            gen=cfg.generator,
-            sigma=cfg.sigma,
+            gen=generator,
+            sigma=sigma,
             n=n,
             mode=mode.value,
-            reps=cfg.repetitions,
-            seed=cfg.seed,
+            reps=repetitions,
+            seed=seed,
             wall_best=best,
             wall_mean=sum(times) / len(times),
             symbols_per_sec=n / best if best > 0 else float("inf"),

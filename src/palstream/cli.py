@@ -7,7 +7,6 @@ a usage error reported by click (an unknown option or an invalid choice).
 from __future__ import annotations
 
 import codecs
-import dataclasses
 import io
 import os
 import sys
@@ -17,7 +16,7 @@ import click
 
 from . import __version__
 from .automaton import ChildStorageMode
-from .bench import GENERATORS, BenchConfig, BenchMeasurement, run_config
+from .bench import GENERATORS, BenchMeasurement, run_config
 from .detector import _BATCH, PalindromeDetector, StepReport
 
 
@@ -226,15 +225,14 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
     except ValueError:
         click.echo("error: --sizes must be comma-separated integers", err=True)
         sys.exit(1)
-    cfg = BenchConfig(generator=generator, sigma=sigma, sizes=size_list,
-                      mode=mode, repetitions=reps, seed=seed)
     try:
-        results = run_config(cfg)
+        results = run_config(generator, sigma=sigma, sizes=size_list, mode=mode,
+                             repetitions=reps, seed=seed)
     except (ValueError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     for measurement in results:
-        click.echo(json.dumps(dataclasses.asdict(measurement)))
+        click.echo(json.dumps(measurement._asdict()))
     click.echo(_bench_table(results), err=True)
 
 

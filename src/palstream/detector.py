@@ -9,7 +9,6 @@ where it first becomes a suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -45,8 +44,7 @@ class StepReport(NamedTuple):
     distinct_count: int  # distinct non-empty palindromes seen so far
 
 
-@dataclass(frozen=True, slots=True)
-class DetectorSummary:
+class DetectorSummary(NamedTuple):
     """Snapshot of totals; taking one leaves the detector usable."""
 
     n: int

@@ -18,7 +18,8 @@ class OnlineManacher:
     """Maintains the maximal odd or even palindromic suffix of a growing text.
 
     ``delta`` selects the parity: 0 tracks odd-length palindromes, 1 tracks
-    even-length ones.  Symbols may be any objects supporting equality.
+    even-length ones.  Symbols may be any objects that each equal
+    themselves, so not ``float("nan")``; only ``==`` is used.
 
     The text is a symbol buffer laid out as :mod:`palstream._buffer`
     describes, so no palindrome reaches past its boundary.  An odd

@@ -15,7 +15,7 @@ from itertools import product
 
 from palstream import ChildStorageMode, PalindromeDetector
 from palstream import oracle
-from palstream.bench import BenchConfig, run_config
+from palstream.bench import run_config
 from palstream.selftest import exhaustive_sweep, oracle_failures
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -213,8 +213,7 @@ def test_c7_directional_complexity():
     started = time.perf_counter()
 
     def wall(n):
-        config = BenchConfig("uniform_a", sizes=(n,), seed=1)
-        return run_config(config)[0].wall_best
+        return run_config("uniform_a", sizes=(n,), seed=1)[0].wall_best
 
     ratios = []
     for pair in range(7):
@@ -233,8 +232,8 @@ def test_c7_directional_complexity():
     sigmas = (16, 256, 4096)
     for mode in (ChildStorageMode.UNORDERED, ChildStorageMode.ORDERED):
         for sigma in sigmas:
-            result = run_config(BenchConfig("random", sigma=sigma,
-                                            sizes=(100_000,), mode=mode, seed=5))
+            result = run_config("random", sigma=sigma, sizes=(100_000,),
+                                mode=mode, seed=5)
             probes[mode, sigma] = result[0].child_probes
 
     for small, large in zip(sigmas, sigmas[1:]):

@@ -12,6 +12,7 @@ from palstream import (ChildStorageMode, DetectorSummary, OnlineManacher,
                        StepReport)
 from palstream import detector as detector_module
 from palstream import oracle
+from palstream.bench import run_config
 from palstream.selftest import oracle_failures
 from reference import expected_reports
 from support import FailsOnCall, all_strings, limit_symbols, random_tokens
@@ -260,13 +261,23 @@ class TestStepReport:
                 setattr(report, field, 0)
 
     def test_is_a_plain_tuple_of_its_fields(self):
-        _, reports = run("aba")
+        det, reports = run("aba")
         assert reports[2] == (3, 3, 0, 3, 2, (1, 3), 3, 3)
         n, *_, distinct = reports[2]
         assert (n, distinct) == (3, 3)
         assert reports[2] == StepReport(n=3, max_pal_odd=3, max_pal_even=0, max_pal=3,
                                         min_unique_suff=2, new_palindrome=(1, 3),
                                         closure_len=3, distinct_count=3)
+        # the package's other records are named tuples in the same way
+        summary = det.finish()
+        n, distinct, odd, even, tree = summary
+        assert (n, distinct, odd, even) == (3, 3, 2, 2)
+        assert tree == (4, 1, 2, 4)
+        [measurement] = run_config("paper_example")
+        for record in (reports[2], summary, tree, measurement):
+            fields = tuple(getattr(record, name) for name in record._fields)
+            assert tuple(record) == fields
+            assert record == fields
 
 
 class TestOracleEquivalence:
