@@ -1,18 +1,18 @@
 """Command-line front end: stream analysis, benchmarks, self-verification.
 
-Exit codes: 0 success, 1 input/configuration error, 2 self-test failure or
-a usage error reported by click (an unknown option or an invalid choice).
+Exit codes: 0 success, 1 input/configuration error or Ctrl-C, 2 self-test
+failure or a usage error reported by argparse (an unknown option or an
+invalid choice).
 """
 
 from __future__ import annotations
 
+import argparse
 import codecs
 import io
 import os
 import sys
 from typing import Iterator
-
-import click
 
 from . import __version__
 from .automaton import ChildStorageMode
@@ -20,10 +20,11 @@ from .bench import GENERATORS, BenchMeasurement, run_config
 from .detector import _BATCH, PalindromeDetector, StepReport
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="palstream")
-def main() -> None:
-    """Online detection of distinct palindromes in a symbol stream."""
+def _to_stderr(text: str) -> None:
+    """``text`` and a newline on stderr, or nowhere when stderr is closed
+    (``print`` would fall back to stdout)."""
+    if sys.stderr is not None:
+        print(text, file=sys.stderr)
 
 
 # -- run ----------------------------------------------------------------------
@@ -110,13 +111,6 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
-@main.command("run")
-@click.argument("file", required=False, type=str)
-@click.option("--format", "fmt", type=click.Choice(list(_FORMATS)),
-              default="table", show_default=True,
-              help="Per-symbol output format.")
-@click.option("--tokens", is_flag=True,
-              help="Read whitespace-separated tokens instead of raw bytes.")
 def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     """Stream FILE (or stdin) through the detector, one record per symbol.
 
@@ -134,19 +128,19 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     normally.
     """
     if sys.stdout is None:  # descriptor 1 was closed when Python started
-        click.echo("error: failed writing output: stdout is closed", err=True)
+        _to_stderr("error: failed writing output: stdout is closed")
         sys.exit(1)
     from_stdin = file is None or file == "-"
     if from_stdin:
         if sys.stdin is None:
-            click.echo("error: cannot read stdin: it is closed", err=True)
+            _to_stderr("error: cannot read stdin: it is closed")
             sys.exit(1)
         stream = sys.stdin.buffer
     else:
         try:
             stream = open(file, "rb")
         except OSError as exc:
-            click.echo(f"error: cannot read {file!r}: {exc}", err=True)
+            _to_stderr(f"error: cannot read {file!r}: {exc}")
             sys.exit(1)
 
     out = sys.stdout
@@ -170,11 +164,11 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     except BrokenPipeError:
         _discard_stdout()
     except (_ReadError, OverflowError) as exc:  # the records before it stand
-        click.echo(f"error: {exc}", err=True)
+        _to_stderr(f"error: {exc}")
         sys.exit(1)
     except OSError as exc:
         _discard_stdout()
-        click.echo(f"error: failed writing output: {exc}", err=True)
+        _to_stderr(f"error: failed writing output: {exc}")
         sys.exit(1)
     finally:
         if not from_stdin:
@@ -196,20 +190,6 @@ def _bench_table(results: list[BenchMeasurement]) -> str:
     return "\n".join(lines)
 
 
-@main.command("bench")
-@click.option("--gen", "generator", type=click.Choice(list(GENERATORS)),
-              required=True, help="Input generator.")
-@click.option("--sigma", type=int, default=2, show_default=True,
-              help="Alphabet size for generated inputs.")
-@click.option("--sizes", default="1000", show_default=True,
-              help="Comma-separated input lengths, strictly increasing.")
-@click.option("--mode", type=click.Choice([m.value for m in ChildStorageMode]),
-              default=ChildStorageMode.ORDERED.value, show_default=True,
-              help="Child-storage mode of the suffix automaton.")
-@click.option("--reps", type=int, default=1, show_default=True,
-              help="Repetitions per size (fresh seed each).")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Base seed; identical seeds reproduce identical inputs.")
 def bench_command(generator: str, sigma: int, sizes: str, mode: str,
                   reps: int, seed: int) -> None:
     """Measure wall time and structural counters over generated inputs.
@@ -223,28 +203,112 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
     try:
         size_list = tuple(int(part) for part in sizes.split(",") if part.strip())
     except ValueError:
-        click.echo("error: --sizes must be comma-separated integers", err=True)
+        _to_stderr("error: --sizes must be comma-separated integers")
         sys.exit(1)
     try:
         results = run_config(generator, sigma=sigma, sizes=size_list, mode=mode,
                              repetitions=reps, seed=seed)
     except (ValueError, RuntimeError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _to_stderr(f"error: {exc}")
         sys.exit(1)
     for measurement in results:
-        click.echo(json.dumps(measurement._asdict()))
-    click.echo(_bench_table(results), err=True)
+        print(json.dumps(measurement._asdict()))
+    _to_stderr(_bench_table(results))
 
 
 # -- selftest ---------------------------------------------------------------------
 
-@main.command("selftest")
 def selftest_command() -> None:
     """Check the engine against its reference trace and the oracles."""
     from . import selftest
 
-    if not selftest.run(echo=click.echo):
+    if not selftest.run(echo=lambda line: print(line, flush=True)):
         sys.exit(2)
+
+
+# -- arguments ------------------------------------------------------------------
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Fills each paragraph of a description on its own."""
+
+    def _fill_text(self, text: str, width: int, indent: str) -> str:
+        fill = super()._fill_text
+        return "\n\n".join(fill(part, width, indent) for part in text.split("\n\n"))
+
+
+def _with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _parser() -> argparse.ArgumentParser:
+    # `--help` without `-h`, and no abbreviations: `--form` is not `--format`
+    style = {"formatter_class": _HelpFormatter, "add_help": False, "allow_abbrev": False}
+    parser = _with_help(argparse.ArgumentParser(
+        prog="palstream",
+        description="Online detection of distinct palindromes in a symbol stream.",
+        **style))
+    parser.add_argument("--version", action="version", help="Show the version and exit.",
+                        version=f"palstream, version {__version__}")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(name, function) -> argparse.ArgumentParser:
+        doc = function.__doc__
+        sub = commands.add_parser(name, help=doc.partition("\n")[0],
+                                  description=doc, **style)
+        sub.set_defaults(function=function)
+        return _with_help(sub)
+
+    run = command("run", run_command)
+    run.add_argument("file", nargs="?", metavar="FILE")
+    run.add_argument("--format", dest="fmt", choices=list(_FORMATS), default="table",
+                     help="Per-symbol output format.  [default: %(default)s]")
+    run.add_argument("--tokens", action="store_true",
+                     help="Read whitespace-separated tokens instead of raw bytes.")
+
+    bench = command("bench", bench_command)
+    bench.add_argument("--gen", dest="generator", choices=list(GENERATORS),
+                       required=True, help="Input generator.  [required]")
+    bench.add_argument("--sigma", type=int, default=2,
+                       help="Alphabet size for generated inputs.  [default: %(default)s]")
+    bench.add_argument("--sizes", default="1000",
+                       help="Comma-separated input lengths, strictly increasing.  "
+                            "[default: %(default)s]")
+    bench.add_argument("--mode", choices=[m.value for m in ChildStorageMode],
+                       default=ChildStorageMode.ORDERED.value,
+                       help="Child-storage mode of the suffix automaton.  "
+                            "[default: %(default)s]")
+    bench.add_argument("--reps", type=int, default=1,
+                       help="Repetitions per size (fresh seed each).  [default: %(default)s]")
+    bench.add_argument("--seed", type=int, default=0,
+                       help="Base seed; identical seeds reproduce identical inputs.  "
+                            "[default: %(default)s]")
+
+    command("selftest", selftest_command)
+    return parser
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the command that ``args`` (by default ``sys.argv[1:]``) name.
+
+    With ``standalone_mode`` false, a command that succeeds returns and its
+    exceptions propagate.  Otherwise Ctrl-C ends it with ``Aborted!`` on
+    stderr and exit 1, and a reader that closes the output of `bench` or
+    `selftest` early ends it with exit 1 and no message.
+    """
+    options = vars(_parser().parse_args(args))
+    function = options.pop("function")
+    del options["command"]
+    if not standalone_mode:
+        return function(**options)
+    try:
+        function(**options)
+    except KeyboardInterrupt:
+        _to_stderr("\nAborted!")
+        sys.exit(1)
+    except BrokenPipeError:
+        _discard_stdout()
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Helpers shared by several test modules, so that no test module imports
 another."""
 
+import io
+import sys
 from itertools import product
+from typing import NamedTuple
 
 import palstream.automaton
+import palstream.cli
 import palstream.manacher
 
 
@@ -48,3 +52,62 @@ class FailsOnCall:
         return False
 
     __hash__ = object.__hash__
+
+
+class CliResult(NamedTuple):
+    """What one `palstream` command wrote and how it ended.  ``output_bytes``
+    is stdout and stderr together, in the order their bytes were written."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+    output_bytes: bytes
+
+    @property
+    def stdout(self):
+        return self.stdout_bytes.decode()
+
+    @property
+    def stderr(self):
+        return self.stderr_bytes.decode()
+
+    @property
+    def output(self):
+        return self.output_bytes.decode()
+
+
+class _Tee(io.BytesIO):
+    """A byte stream that also appends each write to ``shared``."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, b):
+        self.shared += b
+        return super().write(b)
+
+
+def invoke(args, input=b""):
+    """Run `palstream ARGS` in this process, as its console script does, with
+    ``input`` (bytes or a binary stream) on stdin.  A ``SystemExit`` becomes
+    the result's ``exit_code``; any other exception propagates."""
+    shared = bytearray()
+    out, err = _Tee(shared), _Tee(shared)
+    stdin = io.BytesIO(input) if isinstance(input, bytes) else input
+    # kept in locals: a wrapper that is collected closes its byte stream
+    streams = (io.TextIOWrapper(stdin, encoding="utf-8"),
+               io.TextIOWrapper(out, encoding="utf-8", write_through=True),
+               io.TextIOWrapper(err, encoding="utf-8", write_through=True))
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = streams
+    try:
+        palstream.cli.main(args)
+        exit_code = 0
+    except SystemExit as exc:
+        exit_code = 0 if exc.code is None else exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+        for stream in streams[1:]:
+            stream.flush()
+    return CliResult(exit_code, out.getvalue(), err.getvalue(), bytes(shared))

@@ -6,19 +6,19 @@ import json
 import os
 import random
 import select
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import palstream
 from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
 from palstream.bench import run_config
 from palstream.cli import _token_lists, main
-from support import limit_symbols
+from support import invoke, limit_symbols
 import tracing
 
 PERFBENCH = Path(tracing.__file__).parent
@@ -45,11 +45,6 @@ EXPECTED_RECORDS = [
     {"n": 10, "max_pal": 2, "min_unique_suff": 3, "new": None,
      "closure_len": 18, "distinct_count": 8},
 ]
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def jsonl_records(text):
@@ -161,10 +156,27 @@ def dumps_records(symbols):
     return "".join(lines)
 
 
-def records_before_eof(env, args, data, want, timeout=10.0):
+def lines_within(proc, want, timeout=10.0):
+    """The lines that arrive on ``proc``'s stdout pipe before ``want`` of
+    them or the timeout, whichever comes first."""
+    fd = proc.stdout.fileno()
+    received = b""
+    deadline = time.monotonic() + timeout
+    while received.count(b"\n") < want:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            break
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            break
+        received += chunk
+    return received.splitlines()
+
+
+def records_before_eof(env, args, data, want):
     """Start `palstream run ARGS` in ``env``, write ``data`` to its stdin and
     keep stdin open; return the lines that arrive before ``want`` of them or
-    the timeout, whichever comes first."""
+    a timeout, whichever comes first."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "palstream.cli", "run", *args],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
@@ -172,17 +184,7 @@ def records_before_eof(env, args, data, want, timeout=10.0):
     try:
         proc.stdin.write(data)
         proc.stdin.flush()
-        fd = proc.stdout.fileno()
-        received = b""
-        deadline = time.monotonic() + timeout
-        while received.count(b"\n") < want:
-            left = deadline - time.monotonic()
-            if left <= 0 or not select.select([fd], [], [], left)[0]:
-                break
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                break
-            received += chunk
+        lines = lines_within(proc, want)
         proc.stdin.close()
         proc.wait(timeout=60)
     finally:
@@ -190,16 +192,16 @@ def records_before_eof(env, args, data, want, timeout=10.0):
             proc.kill()
             proc.wait()
         proc.stdout.close()
-    return received.splitlines()
+    return lines
 
 
-def run_with_closed_fd(fd, env):
-    """`palstream run` in ``env`` on the input "ab" with descriptor ``fd``
-    closed in the child before Python starts, as `<&-` or `>&-` does."""
+def run_with_closed_fd(fd, env, *args):
+    """`palstream run ARGS` in ``env`` on the input "ab" with descriptor
+    ``fd`` closed in the child before Python starts, as `<&-`, `>&-` or
+    `2>&-` does."""
     return subprocess.run(
-        [sys.executable, "-m", "palstream.cli", "run"], input=b"ab",
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
-        preexec_fn=lambda: os.close(fd), timeout=60)
+        [sys.executable, "-m", "palstream.cli", "run", *args], input=b"ab",
+        capture_output=True, env=env, preexec_fn=lambda: os.close(fd), timeout=60)
 
 
 def write_to_dev_full(env, args, path):
@@ -274,67 +276,67 @@ class TestRun(RunInChildChecks):
     def env(self):
         return cli_env()
 
-    def test_jsonl_reference_word(self, runner):
-        result = runner.invoke(main, ["run", "--format", "jsonl"],
-                               input=REFERENCE_WORD.encode())
+    def test_jsonl_reference_word(self):
+        result = invoke(["run", "--format", "jsonl"],
+                        input=REFERENCE_WORD.encode())
         assert result.exit_code == 0
         assert jsonl_records(result.stdout) == EXPECTED_RECORDS
 
-    def test_jsonl_keys_are_exact(self, runner):
-        result = runner.invoke(main, ["run", "--format", "jsonl"], input=b"ab")
+    def test_jsonl_keys_are_exact(self):
+        result = invoke(["run", "--format", "jsonl"], input=b"ab")
         for record in jsonl_records(result.stdout):
             assert list(record) == ["n", "max_pal", "min_unique_suff", "new",
                                     "closure_len", "distinct_count"]
 
-    def test_table_matches_jsonl(self, runner):
-        as_table = runner.invoke(main, ["run"], input=REFERENCE_WORD.encode())
-        as_jsonl = runner.invoke(main, ["run", "--format", "jsonl"],
-                                 input=REFERENCE_WORD.encode())
+    def test_table_matches_jsonl(self):
+        as_table = invoke(["run"], input=REFERENCE_WORD.encode())
+        as_jsonl = invoke(["run", "--format", "jsonl"],
+                          input=REFERENCE_WORD.encode())
         assert as_table.exit_code == 0
         assert table_records(as_table.stdout) == jsonl_records(as_jsonl.stdout)
 
-    def test_table_dash_for_no_detection(self, runner):
-        result = runner.invoke(main, ["run"], input=REFERENCE_WORD.encode())
+    def test_table_dash_for_no_detection(self):
+        result = invoke(["run"], input=REFERENCE_WORD.encode())
         rows = result.stdout.splitlines()
         assert rows[-1].split()[3] == "-"
         assert rows[-2].split()[3] == "-"
 
-    def test_empty_input(self, runner):
-        result = runner.invoke(main, ["run"], input=b"")
+    def test_empty_input(self):
+        result = invoke(["run"], input=b"")
         assert result.exit_code == 0
         assert result.stdout == ""
 
-    def test_uniform_jsonl(self, runner):
-        result = runner.invoke(main, ["run", "--format", "jsonl"], input=b"aaaa")
+    def test_uniform_jsonl(self):
+        result = invoke(["run", "--format", "jsonl"], input=b"aaaa")
         counts = [r["distinct_count"] for r in jsonl_records(result.stdout)]
         assert counts == [1, 2, 3, 4]
 
-    def test_file_argument(self, runner, tmp_path):
+    def test_file_argument(self, tmp_path):
         path = tmp_path / "input.txt"
         path.write_bytes(REFERENCE_WORD.encode())
-        result = runner.invoke(main, ["run", "--format", "jsonl", str(path)])
+        result = invoke(["run", "--format", "jsonl", str(path)])
         assert result.exit_code == 0
         assert jsonl_records(result.stdout) == EXPECTED_RECORDS
 
-    def test_missing_file_exits_1(self, runner, tmp_path):
-        result = runner.invoke(main, ["run", str(tmp_path / "nope")])
+    def test_missing_file_exits_1(self, tmp_path):
+        result = invoke(["run", str(tmp_path / "nope")])
         assert result.exit_code == 1
         assert "error" in result.stderr
 
-    def test_tokens_mode(self, runner):
-        result = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"],
-                               input=b"foo bar\n  foo")
+    def test_tokens_mode(self):
+        result = invoke(["run", "--tokens", "--format", "jsonl"],
+                        input=b"foo bar\n  foo")
         records = jsonl_records(result.stdout)
         assert len(records) == 3
         # the token sequence foo, bar, foo is itself a palindrome
         assert records[2]["max_pal"] == 3
         assert records[2]["new"] == "1-3"
 
-    def test_output_for_prefix_is_prefix_of_output(self, runner):
-        full = runner.invoke(main, ["run", "--format", "jsonl"],
-                             input=REFERENCE_WORD.encode())
-        part = runner.invoke(main, ["run", "--format", "jsonl"],
-                             input=REFERENCE_WORD[:5].encode())
+    def test_output_for_prefix_is_prefix_of_output(self):
+        full = invoke(["run", "--format", "jsonl"],
+                      input=REFERENCE_WORD.encode())
+        part = invoke(["run", "--format", "jsonl"],
+                      input=REFERENCE_WORD[:5].encode())
         full_lines = full.stdout.splitlines()
         part_lines = part.stdout.splitlines()
         assert full_lines[:5] == part_lines
@@ -345,46 +347,77 @@ class TestRun(RunInChildChecks):
         assert proc.returncode == 1
         assert len(lines) == 1 and lines[0].startswith("error: cannot read"), lines
 
+    def test_closed_stderr_keeps_errors_off_stdout(self, tmp_path, env):
+        proc = run_with_closed_fd(2, env, str(tmp_path / "nope"))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+
+    def test_ctrl_c_keeps_the_records_and_aborts(self, env):
+        # Ctrl-C while the run waits on an open pipe, after the records of
+        # "ab" are out.  The child gets SIGINT's default disposition, which
+        # makes Python raise KeyboardInterrupt, even where this process
+        # was started with SIGINT ignored
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "palstream.cli", "run", "--format", "jsonl"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            proc.stdin.write(b"ab")
+            proc.stdin.flush()
+            records = lines_within(proc, 2)
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=60)  # stdin stays open: the signal ends the run
+            rest, stderr = proc.stdout.read(), proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
+                pipe.close()
+        assert [json.loads(line)["n"] for line in records] == [1, 2]
+        assert rest == b""
+        assert proc.returncode == 1
+        assert stderr.endswith(b"Aborted!\n"), stderr
+
     @pytest.mark.parametrize("fmt", ["table", "jsonl"])
-    def test_full_text_keeps_its_records_and_is_one_error_line(self, runner,
-                                                               monkeypatch, fmt):
+    def test_full_text_keeps_its_records_and_is_one_error_line(self, monkeypatch, fmt):
         limit_symbols(monkeypatch, 5)
-        result = runner.invoke(main, ["run", "--format", fmt], input=b"abcdefg")
-        full = runner.invoke(main, ["run", "--format", fmt], input=b"abcde")
+        result = invoke(["run", "--format", fmt], input=b"abcdefg")
+        full = invoke(["run", "--format", fmt], input=b"abcde")
         assert (result.exit_code, full.exit_code) == (1, 0)
         assert result.stdout == full.stdout
         assert len(full.stdout.splitlines()) == 5 + (fmt == "table")
         assert result.stderr == "error: symbol limit reached: at most 5 symbols\n"
 
-    def test_undecodable_tokens_are_an_input_error(self, runner):
-        result = runner.invoke(main, ["run", "--tokens"], input=b"ok \xff\xfe")
+    def test_undecodable_tokens_are_an_input_error(self):
+        result = invoke(["run", "--tokens"], input=b"ok \xff\xfe")
         assert result.exit_code == 1
         assert "failed reading input" in result.stderr
 
     @pytest.mark.parametrize("stream", [bytes, ShortReads])
-    def test_truncated_utf8_at_eof_is_an_input_error(self, runner, stream):
-        result = runner.invoke(main, ["run", "--tokens"], input=stream(b"ok \xc3"))
+    def test_truncated_utf8_at_eof_is_an_input_error(self, stream):
+        result = invoke(["run", "--tokens"], input=stream(b"ok \xc3"))
         assert result.exit_code == 1
         assert "failed reading input" in result.stderr
 
     @pytest.mark.parametrize("data", ["h\u00e9llo w\u00f6rld  h\u00e9llo\n\u00e9 x \u00e9",
                                       "\u20ac\U0001f600 \u20ac"])
-    def test_tokens_split_across_reads(self, runner, data):
+    def test_tokens_split_across_reads(self, data):
         data = data.encode()
-        one_shot = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"], input=data)
-        by_byte = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"],
-                                input=ShortReads(data))
+        one_shot = invoke(["run", "--tokens", "--format", "jsonl"], input=data)
+        by_byte = invoke(["run", "--tokens", "--format", "jsonl"],
+                         input=ShortReads(data))
         assert one_shot.exit_code == by_byte.exit_code == 0
         assert len(jsonl_records(one_shot.stdout)) == len(data.decode().split())
         assert by_byte.stdout == one_shot.stdout
 
-    def test_a_token_spans_three_reads(self, runner):
+    def test_a_token_spans_three_reads(self):
         data = b"ab cdefghij k"  # read as "ab c", "defg", "hij ", "k", then EOF
         lists = list(_token_lists(ShortReads(data, 4), NoFlush()))
         assert lists == [["ab"], [], ["cdefghij"], [], ["k"]]
-        one_shot = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"], input=data)
-        by_four = runner.invoke(main, ["run", "--tokens", "--format", "jsonl"],
-                                input=ShortReads(data, 4))
+        one_shot = invoke(["run", "--tokens", "--format", "jsonl"], input=data)
+        by_four = invoke(["run", "--tokens", "--format", "jsonl"],
+                         input=ShortReads(data, 4))
         assert one_shot.exit_code == by_four.exit_code == 0
         assert by_four.stdout == one_shot.stdout
 
@@ -416,27 +449,27 @@ class TestRun(RunInChildChecks):
         short, long = map(min, zip(*samples))
         assert long <= 2.5 * short
 
-    def test_bytes_split_across_reads(self, runner):
-        result = runner.invoke(main, ["run", "--format", "jsonl"],
-                               input=ShortReads(REFERENCE_WORD.encode()))
+    def test_bytes_split_across_reads(self):
+        result = invoke(["run", "--format", "jsonl"],
+                        input=ShortReads(REFERENCE_WORD.encode()))
         assert result.exit_code == 0
         assert jsonl_records(result.stdout) == EXPECTED_RECORDS
 
-    def test_jsonl_bytes_equal_json_dumps(self, runner):
+    def test_jsonl_bytes_equal_json_dumps(self):
         data = random.Random(5).randbytes(500)
         for symbols in (REFERENCE_WORD.encode(), data):
-            result = runner.invoke(main, ["run", "--format", "jsonl"], input=symbols)
+            result = invoke(["run", "--format", "jsonl"], input=symbols)
             assert result.exit_code == 0
             assert result.stdout_bytes == dumps_records(symbols).encode()
         # both forms of "new" were pinned
         assert b'"new": null' in result.stdout_bytes
         assert b'"new": "' in result.stdout_bytes
 
-    def test_table_bytes_equal_format_spec(self, runner):
+    def test_table_bytes_equal_format_spec(self):
         data = bytes(random.Random(7).choices(b"abcdefghijklmnopqrstuvwxyz", k=5000))
         outputs = []
         for symbols in (data, b"a" * 5000):
-            result = runner.invoke(main, ["run"], input=symbols)
+            result = invoke(["run"], input=symbols)
             assert result.exit_code == 0
             assert result.stdout_bytes == table_text(symbols).encode()
             outputs.append(result.stdout_bytes)
@@ -469,10 +502,9 @@ class TestRunBuffering(RunInChildChecks):
 
 
 class TestBench:
-    def test_small_run_emits_json_per_size(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "random", "--sigma", "4",
-                   "--sizes", "200,400", "--reps", "2", "--seed", "7"])
+    def test_small_run_emits_json_per_size(self):
+        result = invoke(["bench", "--gen", "random", "--sigma", "4",
+                         "--sizes", "200,400", "--reps", "2", "--seed", "7"])
         assert result.exit_code == 0
         records = jsonl_records(result.stdout)
         assert [r["n"] for r in records] == [200, 400]
@@ -483,8 +515,8 @@ class TestBench:
             assert record["child_probes"] > 0
             assert record["mode"] == "ordered"
 
-    def test_json_keys_in_order(self, runner):
-        result = runner.invoke(main, ["bench", "--gen", "paper_example"])
+    def test_json_keys_in_order(self):
+        result = invoke(["bench", "--gen", "paper_example"])
         assert result.exit_code == 0
         assert list(json.loads(result.stdout.splitlines()[0])) == [
             "gen", "sigma", "n", "mode", "reps", "seed", "wall_best", "wall_mean",
@@ -496,60 +528,54 @@ class TestBench:
         [measurement] = run_config("random", sigma=4, sizes=(100,), mode="unordered")
         assert measurement.mode == "unordered"
 
-    def test_seed_reproducibility(self, runner):
+    def test_seed_reproducibility(self):
         args = ["bench", "--gen", "random", "--sigma", "8", "--sizes", "300",
                 "--seed", "42"]
-        first = jsonl_records(runner.invoke(main, args).stdout)
-        second = jsonl_records(runner.invoke(main, args).stdout)
+        first = jsonl_records(invoke(args).stdout)
+        second = jsonl_records(invoke(args).stdout)
         for record in (*first, *second):
             del record["wall_best"], record["wall_mean"], record["symbols_per_sec"]
         assert first == second
 
-    def test_paper_example_generator(self, runner):
-        result = runner.invoke(main, ["bench", "--gen", "paper_example"])
+    def test_paper_example_generator(self):
+        result = invoke(["bench", "--gen", "paper_example"])
         assert result.exit_code == 0
         record = jsonl_records(result.stdout)[0]
         assert record["n"] == 10
         assert record["distinct_count"] == 8
 
-    def test_paper_example_ignores_sizes(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "paper_example", "--sizes", "5,3"])
+    def test_paper_example_ignores_sizes(self):
+        result = invoke(["bench", "--gen", "paper_example", "--sizes", "5,3"])
         assert result.exit_code == 0, result.stderr
         [record] = jsonl_records(result.stdout)
         assert record["n"] == 10
 
-    def test_unordered_mode(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "random", "--sigma", "16",
-                   "--sizes", "500", "--mode", "unordered"])
+    def test_unordered_mode(self):
+        result = invoke(["bench", "--gen", "random", "--sigma", "16",
+                         "--sizes", "500", "--mode", "unordered"])
         assert result.exit_code == 0
         assert jsonl_records(result.stdout)[0]["mode"] == "unordered"
 
-    def test_decreasing_sizes_rejected(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "random", "--sizes", "400,200"])
+    def test_decreasing_sizes_rejected(self):
+        result = invoke(["bench", "--gen", "random", "--sizes", "400,200"])
         assert result.exit_code == 1
         assert "increasing" in result.stderr
 
-    def test_bad_reps_rejected(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "random", "--sizes", "100", "--reps", "0"])
+    def test_bad_reps_rejected(self):
+        result = invoke(["bench", "--gen", "random", "--sizes", "100", "--reps", "0"])
         assert result.exit_code == 1
 
-    def test_abx_needs_three_symbols(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "abx", "--sigma", "2", "--sizes", "100"])
+    def test_abx_needs_three_symbols(self):
+        result = invoke(["bench", "--gen", "abx", "--sigma", "2", "--sizes", "100"])
         assert result.exit_code == 1
 
-    def test_unknown_generator_rejected(self, runner):
-        result = runner.invoke(main, ["bench", "--gen", "bogus", "--sizes", "10"])
-        assert result.exit_code != 0
+    def test_unknown_generator_rejected(self):
+        result = invoke(["bench", "--gen", "bogus", "--sizes", "10"])
+        assert result.exit_code == 2
 
-    def test_abx_generator(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "abx", "--sigma", "5", "--sizes", "99",
-                   "--seed", "3"])
+    def test_abx_generator(self):
+        result = invoke(["bench", "--gen", "abx", "--sigma", "5", "--sizes", "99",
+                         "--seed", "3"])
         assert result.exit_code == 0
         [record] = jsonl_records(result.stdout)
         assert record["n"] == 99
@@ -557,25 +583,22 @@ class TestBench:
         # abx words hold only one-letter palindromes: a, b and some of 2..4
         assert 3 <= record["distinct_count"] <= 5
 
-    def test_uniform_a_counts_every_step(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "uniform_a", "--sizes", "50,100"])
+    def test_uniform_a_counts_every_step(self):
+        result = invoke(["bench", "--gen", "uniform_a", "--sizes", "50,100"])
         assert result.exit_code == 0
         records = jsonl_records(result.stdout)
         assert [r["n"] for r in records] == [50, 100]
         assert all(r["distinct_count"] == r["n"] for r in records)
 
-    def test_non_integer_sizes_rejected(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--gen", "random", "--sizes", "1,x"])
+    def test_non_integer_sizes_rejected(self):
+        result = invoke(["bench", "--gen", "random", "--sizes", "1,x"])
         assert result.exit_code == 1
         assert "comma-separated integers" in result.stderr
 
-    def test_bound_violation_exits_1(self, runner, monkeypatch):
+    def test_bound_violation_exits_1(self, monkeypatch):
         monkeypatch.setattr(DetectorSummary, "bound_problems",
                             lambda self: ["planted bound problem"])
-        result = runner.invoke(
-            main, ["bench", "--gen", "random", "--sizes", "10"])
+        result = invoke(["bench", "--gen", "random", "--sizes", "10"])
         assert result.exit_code == 1
         assert ("error: bound violated: planted bound problem "
                 "(gen=random, n=10, rep=0)") in result.stderr
@@ -590,16 +613,15 @@ class TestBench:
         with pytest.raises(ValueError, match=message):
             run_config(**kwargs)
 
-    def test_unordered_probe_excess_grows_with_sigma(self, runner):
+    def test_unordered_probe_excess_grows_with_sigma(self):
         # directional: the unordered/ordered probe factor widens as the
         # alphabet grows
         factors = []
         for sigma in ("64", "65536"):
             counts = {}
             for mode in ("ordered", "unordered"):
-                result = runner.invoke(
-                    main, ["bench", "--gen", "random", "--sigma", sigma,
-                           "--sizes", "3000", "--mode", mode, "--seed", "3"])
+                result = invoke(["bench", "--gen", "random", "--sigma", sigma,
+                                 "--sizes", "3000", "--mode", mode, "--seed", "3"])
                 assert result.exit_code == 0
                 counts[mode] = jsonl_records(result.stdout)[0]["child_probes"]
             factors.append(counts["unordered"] / counts["ordered"])
@@ -607,12 +629,12 @@ class TestBench:
 
 
 class TestSelftest:
-    def test_passes_on_fresh_build(self, runner):
-        result = runner.invoke(main, ["selftest"])
+    def test_passes_on_fresh_build(self):
+        result = invoke(["selftest"])
         assert result.exit_code == 0
         assert "FAIL" not in result.output
 
-    def test_inverted_detection_is_caught(self, runner, monkeypatch):
+    def test_inverted_detection_is_caught(self, monkeypatch):
         # mutation sanity: flip the detection verdict and the self-test must
         # exit nonzero with a counterexample
         import palstream.selftest as selftest_module
@@ -629,11 +651,11 @@ class TestSelftest:
                     closure_len=r.closure_len, distinct_count=r.distinct_count)
 
         monkeypatch.setattr(selftest_module, "PalindromeDetector", Inverted)
-        result = runner.invoke(main, ["selftest"])
+        result = invoke(["selftest"])
         assert result.exit_code == 2
         assert "FAIL" in result.output
 
-    def test_engine_exception_is_a_failure(self, runner, monkeypatch):
+    def test_engine_exception_is_a_failure(self, monkeypatch):
         # a push that raises fails the self-test (exit 2) with the error in
         # the report, rather than ending it with a traceback
         import palstream.selftest as selftest_module
@@ -646,13 +668,13 @@ class TestSelftest:
                 return super().push(c)
 
         monkeypatch.setattr(selftest_module, "PalindromeDetector", RaisesOnEighth)
-        result = runner.invoke(main, ["selftest"])
+        result = invoke(["selftest"])
         assert result.exit_code == 2
         assert ("FAIL reference example (ordered): 'abadaadcaa' step 8 (ordered): "
                 "push raised IndexError('planted')") in result.output
         assert "FAIL oracle sweep: counterexample 'aaaaaaaa'" in result.output
 
-    def test_unordered_only_fault_is_caught(self, runner, monkeypatch):
+    def test_unordered_only_fault_is_caught(self, monkeypatch):
         # a detector that miscounts only in unordered mode: both the
         # reference example and the sweep must run that mode
         import palstream.selftest as selftest_module
@@ -666,17 +688,17 @@ class TestSelftest:
                 return r
 
         monkeypatch.setattr(selftest_module, "PalindromeDetector", UnorderedMiscounts)
-        result = runner.invoke(main, ["selftest"])
+        result = invoke(["selftest"])
         assert result.exit_code == 2
         assert "ok   reference example (ordered)" in result.stdout
         assert "FAIL reference example (unordered)" in result.stdout
         assert "FAIL oracle sweep" in result.stdout
         assert "(unordered): distinct_count" in result.stdout
 
-    def test_bound_violation_is_caught(self, runner, monkeypatch):
+    def test_bound_violation_is_caught(self, monkeypatch):
         monkeypatch.setattr(DetectorSummary, "bound_problems",
                             lambda self: ["planted bound problem"])
-        result = runner.invoke(main, ["selftest"])
+        result = invoke(["selftest"])
         assert result.exit_code == 2
         assert "FAIL reference example (ordered)" in result.stdout
         assert "FAIL oracle sweep" in result.stdout
@@ -699,11 +721,63 @@ class TestSelftest:
             assert lines == [], f"assert statement in {path.name} at lines {lines}"
 
 
+class TestUsage:
+    """Usage errors exit 2 with a usage message on stderr and nothing on
+    stdout; every `--help` exits 0 and names every option."""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--format", "bogus"],
+        ["bench", "--gen", "bogus"],
+        ["run", "--nope"],
+        ["run", "--form", "jsonl"],
+        [],
+        ["frob"],
+    ], ids=["bad_format", "bad_generator", "unknown_option", "abbreviated_option",
+            "no_command", "unknown_command"])
+    def test_usage_error_exits_2(self, args):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "usage:" in result.stderr.lower()
+
+    @pytest.mark.parametrize("args, names", [
+        ([], ["--version", "run", "bench", "selftest"]),
+        (["run"], ["--format", "--tokens", "[default: table]"]),
+        (["bench"], ["--gen", "--sigma", "--sizes", "--mode", "--reps", "--seed",
+                     "[default: 2]", "[default: 1000]", "[default: ordered]",
+                     "[default: 1]", "[default: 0]"]),
+        (["selftest"], []),
+    ], ids=["top", "run", "bench", "selftest"])
+    def test_help_names_every_option(self, args, names):
+        result = invoke([*args, "--help"])
+        assert result.exit_code == 0
+        shown = " ".join(result.stdout.split())  # however the lines wrap
+        for name in [*names, "--help"]:
+            assert name in shown, name
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("args", [["bench", "--gen", "paper_example"], ["selftest"]],
+                             ids=["bench", "selftest"])
+    def test_reader_gone_exits_1_quietly(self, args):
+        # stdout is a pipe whose reader has left, so the first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "palstream.cli", *args], stdout=write_end,
+                stderr=subprocess.PIPE, env=cli_env(), timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+
 class TestVersion:
     expected = f"palstream, version {palstream.__version__}\n"
 
-    def test_version_in_process(self, runner):
-        result = runner.invoke(main, ["--version"])
+    def test_version_in_process(self):
+        result = invoke(["--version"])
         assert result.exit_code == 0
         assert result.stdout == self.expected
 
@@ -722,7 +796,7 @@ class TestTracedCli:
     which forwards only positional arguments and relies on `run` calling
     `feed`; its records and spans must stay those of `palstream run`."""
 
-    def test_records_and_spans(self, runner, tmp_path):
+    def test_records_and_spans(self, tmp_path):
         data = tmp_path / "word.txt"
         data.write_bytes(REFERENCE_WORD.encode())
         spans = tmp_path / "spans.bin"
@@ -731,7 +805,7 @@ class TestTracedCli:
              "--format", "jsonl", str(data)],
             capture_output=True, env=cli_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        untraced = runner.invoke(main, ["run", "--format", "jsonl", str(data)])
+        untraced = invoke(["run", "--format", "jsonl", str(data)])
         assert proc.stdout.decode() == untraced.stdout
         tracer, _ = tracing.Tracer.load(spans)
         counts = {name: row[0] for name, row in tracer.totals().items()}
@@ -745,7 +819,7 @@ class TestCliRss:
     setup_s, cli_sym_per_s and cli_peak_rss_mb; it must pass the output
     through untouched and leave a peak RSS in its file."""
 
-    def test_output_and_peak(self, runner, tmp_path):
+    def test_output_and_peak(self, tmp_path):
         data = tmp_path / "word.txt"
         data.write_bytes(REFERENCE_WORD.encode())
         rss = tmp_path / "rss.txt"
@@ -755,17 +829,17 @@ class TestCliRss:
             capture_output=True, env=cli_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == b""
-        untraced = runner.invoke(main, ["run", "--format", "jsonl", str(data)])
+        untraced = invoke(["run", "--format", "jsonl", str(data)])
         assert proc.stdout.decode() == untraced.stdout
         assert int(rss.read_text()) > 0
 
 
 class TestImports:
     def test_run_imports_neither_the_tools_nor_json(self):
-        # `palstream run` needs the engine, `bench` (for --gen's choices) and
-        # click; the self-test, its oracle and json load with their commands.
-        # The package's records are named tuples, and click loads no
-        # dataclasses, so neither does `run`
+        # `palstream run` needs the engine and `bench` (for --gen's choices);
+        # the self-test, its oracle and json load with their commands.  The
+        # arguments are parsed by argparse, not click, and the package's
+        # records are named tuples, so `run` loads no dataclasses either
         code = ("import sys; before = set(sys.modules); import palstream.cli; "
                 "print(*sorted(set(sys.modules) - before))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -773,4 +847,4 @@ class TestImports:
         added = set(proc.stdout.decode().split())
         assert "palstream.cli" in added
         assert not added & {"palstream.selftest", "palstream.oracle", "json",
-                            "dataclasses"}
+                            "dataclasses", "click"}

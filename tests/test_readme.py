@@ -5,9 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from palstream.cli import main
+from support import invoke
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -42,13 +40,13 @@ def test_library_example_runs(capsys):
 @pytest.mark.parametrize("args", [[], ["--format", "jsonl"]], ids=["table", "jsonl"])
 def test_run_output_is_a_prefix_of_the_real_one(args):
     shown = shown_output(" ".join(["printf abadaadcaa | palstream run", *args]))
-    result = CliRunner().invoke(main, ["run", *args], input=b"abadaadcaa")
+    result = invoke(["run", *args], input=b"abadaadcaa")
     assert result.exit_code == 0
     assert shown
     assert result.stdout.splitlines()[:len(shown)] == shown
 
 
 def test_selftest_output_matches():
-    result = CliRunner().invoke(main, ["selftest"])
+    result = invoke(["selftest"])
     assert result.exit_code == 0
     assert result.stdout.splitlines() == shown_output("palstream selftest")
