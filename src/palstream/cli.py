@@ -212,7 +212,7 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
         _to_stderr(f"error: {exc}")
         sys.exit(1)
     for measurement in results:
-        print(json.dumps(measurement._asdict()))
+        print(json.dumps(measurement._asdict()), flush=True)
     _to_stderr(_bench_table(results))
 
 
@@ -228,14 +228,6 @@ def selftest_command() -> None:
 
 # -- arguments ------------------------------------------------------------------
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """Fills each paragraph of a description on its own."""
-
-    def _fill_text(self, text: str, width: int, indent: str) -> str:
-        fill = super()._fill_text
-        return "\n\n".join(fill(part, width, indent) for part in text.split("\n\n"))
-
-
 def _with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     return parser
@@ -243,7 +235,8 @@ def _with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
 def _parser() -> argparse.ArgumentParser:
     # `--help` without `-h`, and no abbreviations: `--form` is not `--format`
-    style = {"formatter_class": _HelpFormatter, "add_help": False, "allow_abbrev": False}
+    style = {"formatter_class": argparse.RawDescriptionHelpFormatter,
+             "add_help": False, "allow_abbrev": False}
     parser = _with_help(argparse.ArgumentParser(
         prog="palstream",
         description="Online detection of distinct palindromes in a symbol stream.",
@@ -255,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
     def command(name, function) -> argparse.ArgumentParser:
         doc = function.__doc__
         sub = commands.add_parser(name, help=doc.partition("\n")[0],
-                                  description=doc, **style)
+                                  description=doc.replace("\n    ", "\n"), **style)
         sub.set_defaults(function=function)
         return _with_help(sub)
 

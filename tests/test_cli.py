@@ -757,16 +757,18 @@ class TestUsage:
 
 
 class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["PYTHONUNBUFFERED_unset", "PYTHONUNBUFFERED_1"])
     @pytest.mark.parametrize("args", [["bench", "--gen", "paper_example"], ["selftest"]],
                              ids=["bench", "selftest"])
-    def test_reader_gone_exits_1_quietly(self, args):
+    def test_reader_gone_exits_1_quietly(self, args, unbuffered):
         # stdout is a pipe whose reader has left, so the first write fails
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "palstream.cli", *args], stdout=write_end,
-                stderr=subprocess.PIPE, env=cli_env(), timeout=300)
+                stderr=subprocess.PIPE, env=cli_env(PYTHONUNBUFFERED=unbuffered), timeout=300)
         finally:
             os.close(write_end)
         assert proc.returncode == 1
