@@ -33,24 +33,29 @@ _TABLE_HEADER = (f"{'n':>8} {'max_pal':>8} {'min_unique_suff':>16} "
                  f"{'new':>14} {'closure_len':>12} {'distinct_count':>15}")
 
 
-def _table_line(report: StepReport) -> str:
-    """One table row; the first record also gets the header."""
-    n, _, _, longest, unique, span, closure, distinct = report
-    new = "-" if span is None else "%d-%d" % span
-    row = "%8d %8d %16d %14s %12d %15d\n" % (n, longest, unique, new, closure,
-                                              distinct)
-    return _TABLE_HEADER + "\n" + row if n == 1 else row
+def _table_lines(reports: list[StepReport]) -> str:
+    """The reports' table rows; a piece that starts the stream (``n == 1``)
+    starts with the header."""
+    rows = "".join(["%8d %8d %16d %14s %12d %15d\n"
+                    % (n, longest, unique, "-" if span is None else "%d-%d" % span,
+                       closure, distinct)
+                    for n, _, _, longest, unique, span, closure, distinct in reports])
+    return _TABLE_HEADER + "\n" + rows if reports and reports[0][0] == 1 else rows
 
 
-def _jsonl_line(report: StepReport) -> str:
-    """``json.dumps`` of the record, byte for byte, plus a newline."""
-    n, _, _, longest, unique, span, closure, distinct = report
-    new = "null" if span is None else f'"{span[0]}-{span[1]}"'
-    return (f'{{"n": {n}, "max_pal": {longest}, "min_unique_suff": {unique}, '
-            f'"new": {new}, "closure_len": {closure}, "distinct_count": {distinct}}}\n')
+def _jsonl_lines(reports: list[StepReport]) -> str:
+    """``json.dumps`` of each report's record, byte for byte, one a line.
+    A record with a span and one without each have their own template,
+    which is quicker than one template with the span's text computed."""
+    return "".join([
+        f'{{"n": {n}, "max_pal": {longest}, "min_unique_suff": {unique}, "new": null, '
+        f'"closure_len": {closure}, "distinct_count": {distinct}}}\n' if span is None else
+        f'{{"n": {n}, "max_pal": {longest}, "min_unique_suff": {unique}, '
+        f'"new": "{span[0]}-{span[1]}", "closure_len": {closure}, "distinct_count": {distinct}}}\n'
+        for n, _, _, longest, unique, span, closure, distinct in reports])
 
 
-_FORMATS = {"table": _table_line, "jsonl": _jsonl_line}
+_FORMATS = {"table": _table_lines, "jsonl": _jsonl_lines}
 
 
 class _ReadError(Exception):
@@ -120,12 +125,12 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     so far are out before the run waits for input, and prefixes of the
     input always yield prefixes of the output.  Each read is cut into
     pieces of at most 256 symbols; the detector takes a piece through
-    ``feed``, and its records are written with one call.  They collect in
-    the output's 8 KiB buffer, also under ``python -u`` or
-    PYTHONUNBUFFERED (a terminal without either gets them line by line).
-    The records of the symbols before a failing one are written too.  A
-    reader that closes the output early (``| head``) ends the run
-    normally.
+    ``feed``, and its records are formatted in one pass and written with
+    one call.  They collect in the output's 8 KiB buffer, also under
+    ``python -u`` or PYTHONUNBUFFERED (a terminal without either gets
+    them line by line).  The records of the symbols before a failing one
+    are written too.  A reader that closes the output early (``| head``)
+    ends the run normally.
     """
     if sys.stdout is None:  # descriptor 1 was closed when Python started
         _to_stderr("error: failed writing output: stdout is closed")
@@ -150,16 +155,16 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
         # instead; it goes out when full and at each flush.
         out.reconfigure(write_through=False)
     write = out.write
-    line = _FORMATS[fmt]
+    lines = _FORMATS[fmt]
     detector = PalindromeDetector()
     try:
         for symbols in _token_lists(stream, out) if tokens else _chunks(stream, out):
             for start in range(0, len(symbols), _BATCH):
-                records = []
+                reports = []
                 try:
-                    records.extend(map(line, detector.feed(symbols[start:start + _BATCH])))
+                    reports.extend(detector.feed(symbols[start:start + _BATCH]))
                 finally:
-                    write("".join(records))
+                    write(lines(reports))
         out.flush()  # a final token's record follows the last read
     except BrokenPipeError:
         _discard_stdout()
@@ -228,6 +233,18 @@ def selftest_command() -> None:
 
 # -- arguments ------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: an argument it does not take is its usage error,
+    reported with its own usage line (argparse would pass it up to
+    ``palstream``'s)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     return parser
@@ -243,7 +260,8 @@ def _parser() -> argparse.ArgumentParser:
         **style))
     parser.add_argument("--version", action="version", help="Show the version and exit.",
                         version=f"palstream, version {__version__}")
-    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    commands = parser.add_subparsers(title="commands", dest="command", required=True,
+                                     parser_class=_CommandParser)
 
     def command(name, function) -> argparse.ArgumentParser:
         doc = function.__doc__

@@ -13,7 +13,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
-from .manacher import OnlineManacher
+from .manacher import OnlineManacher, _add_spans
 
 __all__ = ["StepReport", "DetectorSummary", "PalindromeDetector"]
 
@@ -149,13 +149,15 @@ class PalindromeDetector:
         """The reports of ``iter(symbols)`` (taken now), in order, as
         :meth:`push` would give them.
 
-        The symbols are taken ``_BATCH`` at a time, and each structure
-        absorbs a batch in one call.  When a symbol fails, the items are the
-        reports of the symbols before it, then its exception, then
-        :class:`RuntimeError`, chained to that exception, for each later
-        symbol; :attr:`n` then counts the reports given, while the totals of
-        :meth:`finish` may include the automaton's work on the rest of the
-        failing batch, which it absorbs before the trackers.  While a batch's
+        The symbols are taken ``_BATCH`` at a time; the automaton absorbs a
+        batch in one call, and then both palindrome trackers in another.
+        When a symbol fails, the items are the reports of the symbols before
+        it, then its exception, then :class:`RuntimeError`, chained to that
+        exception, for each later symbol; :attr:`n` then counts the reports
+        given, while the totals of :meth:`finish` may include the
+        automaton's work on the rest of the failing batch, which it absorbs
+        before the trackers, and, when the symbol fails in the even
+        tracker, the odd tracker's loop passes on it.  While a batch's
         reports are being taken, :attr:`n` and :attr:`distinct_count`
         already count the whole batch.  If the input itself raises, its
         exception follows the reports of the symbols taken before it.
@@ -163,11 +165,11 @@ class PalindromeDetector:
         # A generator that has raised is exhausted, so the next item comes
         # from the tail: push, which refuses each symbol _batches left in rest.
         rest: list = []
-        return chain(self._batches(iter(symbols), rest),
+        return chain(chain.from_iterable(self._batches(iter(symbols), rest)),
                      map(self.push, chain.from_iterable(rest)))
 
-    def _batches(self, symbols: Iterator, rest: list) -> Iterator[StepReport]:
-        """The reports of ``symbols``, one batch at a time, while the detector
+    def _batches(self, symbols: Iterator, rest: list) -> Iterator[list[StepReport]]:
+        """The reports of ``symbols``, one list a batch, while the detector
         is usable; the symbols after a failed one, or all of them once it
         is unusable, go to ``rest``."""
         while self._failure is None:
@@ -182,15 +184,17 @@ class PalindromeDetector:
             if failure is not None:
                 self._failure = error = failure
                 rest += (batch[len(reports) + 1:], symbols)
-            yield from reports
+            yield reports
             if error is not None:
                 raise error
         rest.append(symbols)
 
     def _absorb(self, batch: list) -> tuple[list[StepReport], BaseException | None]:
-        """Each structure absorbs as much of ``batch`` as the one before it
-        did; returns the reports of the symbols that all three absorbed and
-        the exception that stopped one of them, if any."""
+        """The automaton absorbs ``batch``, then both trackers absorb as much
+        of it as the automaton did; returns the reports of the symbols that
+        all three absorbed and the exception that stopped one of them, if
+        any.  After a failure in the even tracker, the odd tracker has
+        absorbed the failing symbol too, and its loop total counts it."""
         start = self._n + 2  # the text position of batch[0]
         unique: list[int] = []
         odd: list[int] = []
@@ -200,11 +204,10 @@ class PalindromeDetector:
             self._tree._add_batch(batch, unique)
         except BaseException as exc:
             failure = exc
-        for tracker, lengths, done in ((self._odd, odd, unique), (self._even, even, odd)):
-            try:
-                tracker._add_span(start, start + len(done), lengths)
-            except BaseException as exc:
-                failure = exc
+        try:
+            _add_spans(self._odd, self._even, start, start + len(unique), odd, even)
+        except BaseException as exc:
+            failure = exc
         reports = []
         append = reports.append
         n, distinct = self._n, self._distinct

@@ -3,6 +3,11 @@
 One instance tracks a single palindrome parity; two instances together give
 the maximal palindromic suffix of a growing symbol sequence after every
 appended symbol, in amortized constant time per symbol.
+
+On the batch path, :func:`_add_spans` takes an odd and an even tracker over
+a run of symbols in one loop, each symbol through both parities.  A symbol
+that fails in the even step has already passed the odd one, so the odd
+tracker's answers and loop total count it.
 """
 
 from __future__ import annotations
@@ -130,58 +135,6 @@ class OnlineManacher:
         self._loop_iters += iters
         return 2 * r + 1 - delta
 
-    def _add_span(self, start: int, stop: int, lengths: list) -> None:
-        """:meth:`add_letter` for the symbols at positions ``start`` up to
-        ``stop - 1`` of a tracker built by :meth:`_over`, which its owner
-        has already appended; each new :meth:`max_pal` is appended to
-        ``lengths``.
-
-        One loop with its state in locals, which go back to the slots once
-        it ends.  An exception propagates with ``lengths`` holding the
-        answers for the symbols before the one that raised, and the slots
-        and loop total as :meth:`add_letter` leaves them after that symbol.
-        """
-        text, delta, rad = self._text, self.delta, self._rad
-        append = lengths.append
-        i, r, iters = self._i, self._r, 0
-        if start == 2 < stop:  # the first symbol: nothing before it to compare with
-            append(1 - delta)
-            start = 3
-        try:
-            for n in range(start - 1, stop - 1):  # c is at n + 1, and i + r == n
-                c = text[n + 1]
-                if text[i - r - 1 + delta] == c:
-                    r += 1
-                    iters += 1
-                    append(2 * r + 1 - delta)
-                    continue
-                try:
-                    rad.append(r)  # as in add_letter, the only one that can overflow
-                except OverflowError:
-                    self._rad = rad = array("H" if r <= 0xFFFF else "i", rad)
-                    rad.append(r)
-                passes = 1
-                mirror = 2 * i
-                j = i + 1
-                while j <= n:
-                    passes += 1
-                    s = rad[mirror - j]
-                    if s > n - j:
-                        s = n - j
-                    if j + s == n and text[j - s - 1 + delta] == c:
-                        s += 1
-                        break
-                    rad.append(s)
-                    j += 1
-                else:
-                    s = 0
-                i, r = j, s
-                iters += passes
-                append(2 * r + 1 - delta)
-        finally:
-            self._i, self._r = i, r
-            self._loop_iters += iters
-
     def max_pal(self) -> int:
         """Length of the maximal tracked-parity palindromic suffix.
 
@@ -196,3 +149,92 @@ class OnlineManacher:
     def loop_iterations(self) -> int:
         """Total inner-loop passes since construction (monotone)."""
         return self._loop_iters
+
+
+def _add_spans(odd: OnlineManacher, even: OnlineManacher, start: int, stop: int,
+               odd_lengths: list, even_lengths: list) -> None:
+    """:meth:`OnlineManacher.add_letter` of ``odd`` (parity 0) and then of
+    ``even`` (parity 1), two trackers built by :meth:`~OnlineManacher._over`
+    on the same text, for each symbol at positions ``start`` up to
+    ``stop - 1``, which their owner has already appended; each new
+    :meth:`~OnlineManacher.max_pal` goes to ``odd_lengths`` or
+    ``even_lengths``.
+
+    One loop over the positions, which takes each symbol through both
+    parities' steps, with the trackers' state in locals that go back to the
+    slots once it ends.  An exception propagates with each tracker's answers,
+    slots and loop total as :meth:`~OnlineManacher.add_letter` leaves them:
+    a symbol that fails in the even step has already been absorbed by the
+    odd tracker, whose answers and loop total then count it.
+    """
+    text, orad, erad = odd._text, odd._rad, even._rad
+    odd_append, even_append = odd_lengths.append, even_lengths.append
+    oi, o_r, ei, er = odd._i, odd._r, even._i, even._r
+    if start == 2 < stop:  # the first symbol: nothing before it to compare with
+        odd_append(1)
+        even_append(0)
+        start = 3
+    # Each answer appended below counts one loop pass, its symbol's first
+    # test; only a center search's further passes are added to these.
+    oiters = -len(odd_lengths)
+    eiters = -len(even_lengths)
+    try:
+        for n in range(start - 1, stop - 1):  # c is at n + 1; oi + o_r == ei + er == n
+            c = text[n + 1]
+            if text[oi - o_r - 1] == c:
+                o_r += 1
+            else:
+                try:
+                    orad.append(o_r)  # as in add_letter, the only one that can overflow
+                except OverflowError:
+                    odd._rad = orad = array("H" if o_r <= 0xFFFF else "i", orad)
+                    orad.append(o_r)
+                passes = 0
+                mirror = 2 * oi
+                j = oi + 1
+                while j <= n:
+                    passes += 1
+                    s = orad[mirror - j]
+                    if s > n - j:
+                        s = n - j
+                    if j + s == n and text[j - s - 1] == c:
+                        s += 1
+                        break
+                    orad.append(s)
+                    j += 1
+                else:
+                    s = 0
+                oi, o_r = j, s
+                oiters += passes
+            odd_append(2 * o_r + 1)
+            if text[ei - er] == c:
+                er += 1
+            else:
+                try:
+                    erad.append(er)
+                except OverflowError:
+                    even._rad = erad = array("H" if er <= 0xFFFF else "i", erad)
+                    erad.append(er)
+                passes = 0
+                mirror = 2 * ei
+                j = ei + 1
+                while j <= n:
+                    passes += 1
+                    s = erad[mirror - j]
+                    if s > n - j:
+                        s = n - j
+                    if j + s == n and text[j - s] == c:
+                        s += 1
+                        break
+                    erad.append(s)
+                    j += 1
+                else:
+                    s = 0
+                ei, er = j, s
+                eiters += passes
+            even_append(2 * er)
+    finally:
+        odd._i, odd._r = oi, o_r
+        odd._loop_iters += oiters + len(odd_lengths)
+        even._i, even._r = ei, er
+        even._loop_iters += eiters + len(even_lengths)

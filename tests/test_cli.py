@@ -17,7 +17,7 @@ import pytest
 import palstream
 from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
 from palstream.bench import run_config
-from palstream.cli import _token_lists, main
+from palstream.cli import _FORMATS, _token_lists, main
 from support import invoke, limit_symbols
 import tracing
 
@@ -130,30 +130,34 @@ def pushed_reports(symbols):
     return [detector.push(c) for c in symbols]
 
 
+TABLE_HEADER = (f"{'n':>8} {'max_pal':>8} {'min_unique_suff':>16} "
+                f"{'new':>14} {'closure_len':>12} {'distinct_count':>15}\n")
+
+
+def record_line(fmt, r):
+    """One record as `run` writes it, made on its own and not by cli.py: a
+    table row by the format spec of the f-strings the table was first
+    written with, after the header for the record of n = 1, or a jsonl line
+    as ``json.dumps`` writes the record."""
+    new = None if r.new_palindrome is None else "%d-%d" % r.new_palindrome
+    if fmt == "jsonl":
+        return json.dumps({
+            "n": r.n, "max_pal": r.max_pal, "min_unique_suff": r.min_unique_suff,
+            "new": new, "closure_len": r.closure_len,
+            "distinct_count": r.distinct_count}) + "\n"
+    row = (f"{r.n:>8} {r.max_pal:>8} {r.min_unique_suff:>16} {new or '-':>14} "
+           f"{r.closure_len:>12} {r.distinct_count:>15}\n")
+    return TABLE_HEADER + row if r.n == 1 else row
+
+
 def table_text(symbols):
-    """`run` table output with each line built by the format spec of the
-    f-strings the table was first written with."""
-    lines = []
-    for r in pushed_reports(symbols):
-        new = "-" if r.new_palindrome is None else f"{r.new_palindrome[0]}-{r.new_palindrome[1]}"
-        lines.append(f"{r.n:>8} {r.max_pal:>8} {r.min_unique_suff:>16} {new:>14} "
-                     f"{r.closure_len:>12} {r.distinct_count:>15}\n")
-    if lines:
-        lines.insert(0, f"{'n':>8} {'max_pal':>8} {'min_unique_suff':>16} "
-                        f"{'new':>14} {'closure_len':>12} {'distinct_count':>15}\n")
-    return "".join(lines)
+    """`run` table output, one record at a time."""
+    return "".join(record_line("table", r) for r in pushed_reports(symbols))
 
 
 def dumps_records(symbols):
-    """`run --format jsonl` output as ``json.dumps`` writes each record."""
-    lines = []
-    for r in pushed_reports(symbols):
-        new = None if r.new_palindrome is None else "%d-%d" % r.new_palindrome
-        lines.append(json.dumps({
-            "n": r.n, "max_pal": r.max_pal, "min_unique_suff": r.min_unique_suff,
-            "new": new, "closure_len": r.closure_len,
-            "distinct_count": r.distinct_count}) + "\n")
-    return "".join(lines)
+    """`run --format jsonl` output, one record at a time."""
+    return "".join(record_line("jsonl", r) for r in pushed_reports(symbols))
 
 
 def lines_within(proc, want, timeout=10.0):
@@ -492,6 +496,28 @@ class TestRun(RunInChildChecks):
         assert raw.writes <= len(expected) // 4096 + 2
 
 
+class TestFormats:
+    """Each ``_FORMATS`` entry makes the text of one piece's reports in one
+    call: the records' lines, each made on its own, joined."""
+
+    # 300 symbols, whose palindromes after the first 260 are new again
+    REPORTS = pushed_reports(REFERENCE_WORD * 26 + "ab" * 20)
+
+    @pytest.mark.parametrize("fmt", list(_FORMATS))
+    @pytest.mark.parametrize("start, stop", [(0, 0), (0, 256), (0, 1), (3, 10), (256, 300)],
+                             ids=["empty", "first_piece", "first_record_alone",
+                                  "mid_stream", "second_piece"])
+    def test_a_piece_is_its_records_lines_joined(self, fmt, start, stop):
+        reports = self.REPORTS[start:stop]
+        text = _FORMATS[fmt](reports)
+        assert text == "".join(record_line(fmt, r) for r in reports)
+        # the table header goes before the first record of the stream only
+        headers = text.count(TABLE_HEADER)
+        assert headers == (fmt == "table" and start == 0 < stop)
+        if stop - start > 1:  # new palindromes and steps without one
+            assert {r.new_palindrome is None for r in reports} == {True, False}
+
+
 class TestRunBuffering(RunInChildChecks):
     """The child-process checks with stdout buffered and write-through
     (`python -u`), whatever this process was started with."""
@@ -739,6 +765,18 @@ class TestUsage:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "usage:" in result.stderr.lower()
+
+    @pytest.mark.parametrize("args, command, unknown", [
+        (["run", "--nope"], "run", "--nope"),
+        (["selftest", "extra"], "selftest", "extra"),
+    ], ids=["run_unknown_option", "selftest_extra_argument"])
+    def test_unknown_argument_is_its_commands_usage_error(self, args, command, unknown):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith(f"usage: palstream {command} [--help]")
+        assert lines[-1] == f"palstream {command}: error: unrecognized arguments: {unknown}"
 
     @pytest.mark.parametrize("args, names", [
         ([], ["--version", "run", "bench", "selftest"]),

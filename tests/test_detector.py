@@ -574,11 +574,15 @@ class TestRadiusWidths:
             assert det.push("a") == unary_report(n), n
             assert self.widths(det) == self.unary_widths(n), n
 
-    @pytest.mark.parametrize("cuts", [(), (512, 513, 514, 131_072, 131_073, 131_074)],
-                             ids=["whole", "cut_at_each_change"])
+    @pytest.mark.parametrize("cuts", [(), (512, 513, 514, 131_072, 131_073, 131_074),
+                                      (512, 514, 131_072, 131_074)],
+                             ids=["whole", "cut_at_each_change", "both_in_one_batch"])
     def test_feed_widens_on_unary(self, cuts):
         # uncut, the batches of 256 put symbols 513 and 131,073 first in a
-        # batch and 514 and 131,074 second; cut, each of them is a batch
+        # batch and 514 and 131,074 second; cut at each change, each of them
+        # is a batch; cut around both, one batch of two symbols widens the
+        # even radii and then the odd ones, and the widths are checked
+        # right before and right after it
         det = PalindromeDetector()
         for start, stop in pairwise((0, *cuts, self.N)):
             for n, report in enumerate(det.feed("a" * (stop - start)), start + 1):

@@ -266,41 +266,80 @@ class TestDeterminism:
 
 
 class TestSpan:
-    """``_add_span``, the detector's batch path: a tracker over an owner's
-    text absorbs the symbols at a range of positions in one call."""
+    """``_add_spans``, the detector's batch path: an odd and an even tracker
+    over an owner's text absorb the symbols at a range of positions in one
+    call, each symbol through both parities."""
 
-    @pytest.mark.parametrize("delta", [0, 1])
-    def test_spans_build_what_add_letter_builds(self, delta):
+    @staticmethod
+    def state(m):
+        return tuple(m._rad), m._i, m._r, m.loop_iterations
+
+    def test_spans_build_what_add_letter_builds(self):
         rng = random.Random(8)
         for _ in range(30):
             w = rng.choices("aab", k=rng.randint(1, 200))
-            one, values = feed(delta, w)
+            (odd, odd_values), (even, even_values) = feed(0, w), feed(1, w)
             text = _new_text()
-            spanned = OnlineManacher._over(text, delta)
-            lengths = []
+            spanned = OnlineManacher._over(text, 0), OnlineManacher._over(text, 1)
+            lengths = [], []
             for cut in range(0, len(w), 7):  # text[2 + k] is symbol k
                 text.extend(w[cut:cut + 7])
-                spanned._add_span(2 + cut, len(text), lengths)
-            assert lengths == values
-            assert radii_of(spanned) == radii_of(one)
-            assert (spanned._i, spanned.loop_iterations) == (one._i, one.loop_iterations)
+                manacher._add_spans(*spanned, 2 + cut, len(text), *lengths)
+            assert lengths == (odd_values, even_values)
+            assert tuple(map(self.state, spanned)) == (self.state(odd), self.state(even))
 
-    @pytest.mark.parametrize("delta", [0, 1])
-    def test_a_failed_symbol_keeps_the_answers_before_it(self, delta):
-        # the symbol after "aaa" fails at its k-th comparison; the slots are
-        # those add_letter leaves after "aaa"
-        before, values = feed(delta, "aaa")
+    # after a^6 the next symbol is compared 3 times in the odd step and 4
+    # times in the even step: the first test, then one per center up to the
+    # last position
+    BEFORE = "a" * 6
+    ODD_CALLS, EVEN_CALLS = 3, 4
+
+    def span_failing_at(self, k):
+        """The trackers and answers after a^6, a symbol that fails at its
+        k-th comparison, then two more symbols, taken in one call."""
+        failing = FailsOnCall(k)
+        text = _new_text() + [*self.BEFORE, failing, "a", "a"]
+        odd, even = OnlineManacher._over(text, 0), OnlineManacher._over(text, 1)
+        lengths = [], []
+        with pytest.raises(ArithmeticError):
+            manacher._add_spans(odd, even, 2, len(text), *lengths)
+        assert failing.calls == k
+        return odd, even, lengths
+
+    def test_comparisons_per_step(self):
         never = FailsOnCall(0)
-        OnlineManacher._over(_new_text() + ["a", "a", "a", never], delta)._add_span(2, 6, [])
-        assert never.calls > 0
-        for k in range(1, never.calls + 1):
-            m = OnlineManacher._over(_new_text() + ["a", "a", "a", FailsOnCall(k)], delta)
-            lengths = []
-            with pytest.raises(ArithmeticError):
-                m._add_span(2, 6, lengths)
-            assert lengths == values
-            assert (m._i, m._r, m.loop_iterations) == \
-                (before._i, before._r, before.loop_iterations)
+        for delta, calls in ((0, self.ODD_CALLS), (1, self.EVEN_CALLS)):
+            m, _ = feed(delta, self.BEFORE)
+            m.add_letter(never)
+            assert never.calls == calls, delta
+            never.calls = 0
+
+    @pytest.mark.parametrize("k", range(1, ODD_CALLS + 1))
+    def test_a_symbol_failing_in_the_odd_step(self, k):
+        # neither tracker has absorbed it: the odd one is where add_letter
+        # leaves it after raising, the even one is as after a^6
+        odd, even, lengths = self.span_failing_at(k)
+        want_odd, odd_values = feed(0, self.BEFORE)
+        with pytest.raises(ArithmeticError):
+            want_odd.add_letter(FailsOnCall(k))
+        want_even, even_values = feed(1, self.BEFORE)
+        assert lengths == (odd_values, even_values)
+        assert (self.state(odd), self.state(even)) == (self.state(want_odd),
+                                                        self.state(want_even))
+
+    @pytest.mark.parametrize("k", range(1, EVEN_CALLS + 1))
+    def test_a_symbol_failing_in_the_even_step(self, k):
+        # the odd tracker has absorbed it, answer and loop passes included;
+        # the even one is where add_letter leaves it after raising
+        odd, even, lengths = self.span_failing_at(self.ODD_CALLS + k)
+        want_odd, odd_values = feed(0, self.BEFORE)
+        odd_values.append(want_odd.add_letter(FailsOnCall(0)))
+        want_even, even_values = feed(1, self.BEFORE)
+        with pytest.raises(ArithmeticError):
+            want_even.add_letter(FailsOnCall(k))
+        assert lengths == (odd_values, even_values)
+        assert (self.state(odd), self.state(even)) == (self.state(want_odd),
+                                                        self.state(want_even))
 
 
 def random_letters(n, seed):
