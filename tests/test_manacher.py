@@ -274,19 +274,22 @@ class TestSpan:
     def state(m):
         return tuple(m._rad), m._i, m._r, m.loop_iterations
 
-    def test_spans_build_what_add_letter_builds(self):
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_spans_build_what_add_letter_builds(self, delta):
+        # both trackers go through _add_spans; the one of parity delta must
+        # match add_letter's
         rng = random.Random(8)
         for _ in range(30):
             w = rng.choices("aab", k=rng.randint(1, 200))
-            (odd, odd_values), (even, even_values) = feed(0, w), feed(1, w)
+            one, values = feed(delta, w)
             text = _new_text()
             spanned = OnlineManacher._over(text, 0), OnlineManacher._over(text, 1)
             lengths = [], []
             for cut in range(0, len(w), 7):  # text[2 + k] is symbol k
                 text.extend(w[cut:cut + 7])
                 manacher._add_spans(*spanned, 2 + cut, len(text), *lengths)
-            assert lengths == (odd_values, even_values)
-            assert tuple(map(self.state, spanned)) == (self.state(odd), self.state(even))
+            assert lengths[delta] == values
+            assert self.state(spanned[delta]) == self.state(one)
 
     # after a^6 the next symbol is compared 3 times in the odd step and 4
     # times in the even step: the first test, then one per center up to the
