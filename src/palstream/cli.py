@@ -107,8 +107,9 @@ def _token_lists(stream, out) -> Iterator[list[str]]:
 
 
 def _discard_stdout() -> None:
-    """Point stdout's descriptor at the null device, so that the flush at
-    interpreter exit cannot fail again on output that already failed."""
+    """Point stdout's descriptor at the null device: the flush at
+    interpreter exit cannot fail again on output that already failed, and
+    the reader of output that is complete gets EOF."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(devnull, sys.stdout.fileno())
@@ -130,7 +131,8 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     ``python -u`` or PYTHONUNBUFFERED (a terminal without either gets
     them line by line).  The records of the symbols before a failing one
     are written too.  A reader that closes the output early (``| head``)
-    ends the run normally.
+    ends the run normally.  From the command line, the output ends, at
+    EOF, with its last record, before the interpreter's teardown.
     """
     if sys.stdout is None:  # descriptor 1 was closed when Python started
         _to_stderr("error: failed writing output: stdout is closed")
@@ -303,9 +305,14 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run the command that ``args`` (by default ``sys.argv[1:]``) name.
 
     With ``standalone_mode`` false, a command that succeeds returns and its
-    exceptions propagate.  Otherwise Ctrl-C ends it with ``Aborted!`` on
-    stderr and exit 1, and a reader that closes the output of `bench` or
-    `selftest` early ends it with exit 1 and no message.
+    exceptions propagate; stdout is left as it is, for the caller to go on
+    writing.  Otherwise the process is the command's: Ctrl-C ends it with
+    ``Aborted!`` on stderr and exit 1, and a reader that closes the output
+    of `bench` or `selftest` early ends it with exit 1 and no message.  A
+    command that succeeds has stdout flushed and, when that is the
+    interpreter's own, descriptor 1 pointed at the null device, so that
+    the reader gets EOF right after the last record, not after interpreter
+    teardown.
     """
     options = vars(_parser().parse_args(args))
     function = options.pop("function")
@@ -320,6 +327,15 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     except BrokenPipeError:
         _discard_stdout()
         sys.exit(1)
+    # A substituted stdout (a test's, an embedder's) does not own descriptor
+    # 1.  dup2, not close: a file opened at exit would take a free
+    # descriptor 1, and the final flush would write into it.
+    if sys.stdout is not None and sys.stdout is sys.__stdout__:
+        sys.stdout.flush()
+        try:
+            _discard_stdout()
+        except OSError:  # no null device: the output ends at exit instead
+            pass
 
 
 if __name__ == "__main__":

@@ -38,6 +38,9 @@ class Mutant(NamedTuple):
 _FEED_WIDTHS = "tests/test_detector.py::TestRadiusWidths::test_feed_widens_on_unary"
 _ONE_BYTE_RADII = ("tests/test_manacher.py::TestMemory",
                    "tests/test_detector.py::TestRadiusWidths::test_random_text_keeps_one_byte_radii")
+_REFERENCE_AUTOMATON = "tests/test_automaton.py::TestReferenceAutomaton"
+_FOUR_SLOTS = ("tests/test_automaton.py::TestListCapacity",
+               "tests/test_automaton.py::TestMemory::test_random_text_costs_at_most_91_5_bytes")
 
 MUTANTS = (
     # The radius widths of manacher._add_spans (the batch path) and of a new
@@ -78,6 +81,45 @@ MUTANTS = (
            "                finally:\n                    pass\n"
            "                write(lines(reports))\n",
            ("tests/test_cli.py::TestRun::test_full_text_keeps_its_records_and_is_one_error_line",)),
+    # The reader of a finished command gets EOF before interpreter teardown.
+    Mutant("main leaves stdout open", "cli.py",
+           "            _discard_stdout()\n        except OSError:",
+           "            pass\n        except OSError:",
+           ("tests/test_cli.py::TestRun::test_output_ends_before_teardown",)),
+    Mutant("no null device fails the command", "cli.py",
+           "except OSError:  # no null device", "except ZeroDivisionError:  # no null device",
+           ("tests/test_cli.py::TestRun::test_no_null_device_keeps_the_success",)),
+    # _clone's redirect: where it stops, the chain edge it copies, and a
+    # clone's None target read through _clone_src.
+    Mutant("the redirect stops one length early", "automaton.py",
+           "(p if p >= 0 else clone_len[~p]) >= bound:",
+           "(p if p >= 0 else clone_len[~p]) >= bound + 1:",
+           (_REFERENCE_AUTOMATON,)),
+    Mutant("the redirect stops one length late", "automaton.py",
+           "(p if p >= 0 else clone_len[~p]) >= bound:",
+           "(p if p >= 0 else clone_len[~p]) >= bound - 1:",
+           (_REFERENCE_AUTOMATON,)),
+    Mutant("the chain symbol appended unsorted", "automaton.py",
+           "i = bisect_left(edges, chain, 0, m)", "i = m",
+           (_REFERENCE_AUTOMATON,)),
+    Mutant("a clone of a clone given source 0", "automaton.py",
+           "clone_src.append(q if q >= 0 else clone_src[~q])",
+           "clone_src.append(q if q >= 0 else 0)",
+           (_REFERENCE_AUTOMATON,)),
+    Mutant("_add_batch drops the + 1 of a None target", "automaton.py",
+           "q = clone_src[~p] + 1", "q = clone_src[~p]",
+           (_REFERENCE_AUTOMATON, "tests/test_detector.py::TestPinnedCounters")),
+    Mutant("the redirect trusts None", "automaton.py",
+           "t = clone_src[~p] + 1", "t = q",
+           ("tests/test_automaton.py::TestCorruptRedirect::test_wrong_clone_source_raises_and_stops",)),
+    # A list that gains its second transition gets four slots, in each walk.
+    Mutant("add_letter's four-slot literal disabled", "automaton.py",
+           "if m == 1:\n                    # a literal",
+           "if False:\n                    # a literal",
+           _FOUR_SLOTS),
+    Mutant("_add_batch's four-slot literal disabled", "automaton.py",
+           "if m == 1:  # four slots exactly", "if False:  # four slots exactly",
+           _FOUR_SLOTS),
 )
 
 

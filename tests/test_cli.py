@@ -199,6 +199,48 @@ def records_before_eof(env, args, data, want):
     return lines
 
 
+# `python -c` code that runs `palstream.cli` as `__main__`, as `python -m`
+# does, with an atexit handler that holds the interpreter's teardown until
+# the descriptor given as the first argument has a byte or EOF to read
+HELD_AT_EXIT = ("import atexit, os, runpy, sys; "
+                "atexit.register(os.read, int(sys.argv.pop(1)), 1); "
+                "runpy.run_module('palstream.cli', run_name='__main__', alter_sys=True)")
+
+
+def output_before_teardown(env, args, stdin, timeout=30.0):
+    """`palstream ARGS` in ``env`` on ``stdin``, held at exit: the stdout
+    it writes up to EOF, or None when no EOF comes within ``timeout``, and
+    its exit status once it is let go."""
+    go_read, go_write = os.pipe()
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", HELD_AT_EXIT, str(go_read), *args], stdin=stdin,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, pass_fds=(go_read,))
+    finally:
+        os.close(go_read)
+    try:
+        fd, received = proc.stdout.fileno(), b""
+        deadline = time.monotonic() + timeout
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                received = None
+                break
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                break
+            received += chunk
+    finally:
+        os.close(go_write)  # the atexit handler reads EOF and returns
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    return received, proc.returncode
+
+
 def run_with_closed_fd(fd, env, *args):
     """`palstream run ARGS` in ``env`` on the input "ab" with descriptor
     ``fd`` closed in the child before Python starts, as `<&-`, `>&-` or
@@ -273,6 +315,50 @@ class RunInChildChecks:
     def test_token_records_arrive_before_stdin_closes(self, env):
         lines = records_before_eof(env, ["--format", "jsonl", "--tokens"], b"foo bar \n", 2)
         assert [json.loads(line)["n"] for line in lines] == [1, 2]
+
+    @pytest.mark.parametrize("args, last", [
+        (["run", "--format", "jsonl"], b'{"n": 10, '),
+        (["bench", "--gen", "paper_example"], b'{"gen": "paper_example", '),
+        (["selftest"], b"ok   oracle sweep "),
+    ], ids=["run", "bench", "selftest"])
+    def test_output_ends_before_teardown(self, tmp_path, env, args, last):
+        # the reader gets EOF once the command is done, while an atexit
+        # handler still holds the interpreter
+        path = tmp_path / "input.txt"
+        path.write_bytes(REFERENCE_WORD.encode())
+        with open(path, "rb") as stdin:
+            received, status = output_before_teardown(env, args, stdin)
+        assert received is not None, "no EOF before teardown"
+        assert received.splitlines()[-1].startswith(last)
+        assert status == 0
+        if args[0] == "run":
+            assert received == dumps_records(REFERENCE_WORD).encode()
+
+    def test_embedded_main_leaves_stdout_open(self, tmp_path, env):
+        # `standalone_mode=False` returns to a caller that goes on writing
+        path = tmp_path / "input.txt"
+        path.write_bytes(REFERENCE_WORD.encode())
+        code = ("import sys; from palstream.cli import main; "
+                "main(sys.argv[1:], standalone_mode=False); print('after')")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "--format", "jsonl", str(path)],
+            capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == dumps_records(REFERENCE_WORD) + "after\n"
+
+    def test_no_null_device_keeps_the_success(self, tmp_path, env):
+        # the output then ends at exit, as it did before it could end sooner
+        path = tmp_path / "input.txt"
+        path.write_bytes(REFERENCE_WORD.encode())
+        code = ("import os, sys; os.devnull = sys.argv.pop(1); "
+                "from palstream.cli import main; main()")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "no-such-device"),
+             "run", "--format", "jsonl", str(path)],
+            capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout.decode() == dumps_records(REFERENCE_WORD)
 
 
 class TestRun(RunInChildChecks):
