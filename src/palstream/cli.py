@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import gc
 import io
 import os
 import sys
@@ -117,7 +118,7 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
-def run_command(file: str | None, fmt: str, tokens: bool) -> None:
+def run_command(file: str | None, fmt: str, tokens: bool) -> PalindromeDetector:
     """Stream FILE (or stdin) through the detector, one record per symbol.
 
     Bytes are the symbols by default; --tokens switches to whitespace-
@@ -131,8 +132,11 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     ``python -u`` or PYTHONUNBUFFERED (a terminal without either gets
     them line by line).  The records of the symbols before a failing one
     are written too.  A reader that closes the output early (``| head``)
-    ends the run normally.  From the command line, the output ends, at
-    EOF, with its last record, before the interpreter's teardown.
+    ends the run normally.  The stream runs with Python's cyclic garbage
+    collector paused, as the engine makes no reference cycles, and the
+    caller's setting is restored when the run ends, however it ends.  From
+    the command line, the output ends, at EOF, with its last record, before
+    the detector is freed and before the interpreter's teardown.
     """
     if sys.stdout is None:  # descriptor 1 was closed when Python started
         _to_stderr("error: failed writing output: stdout is closed")
@@ -159,6 +163,8 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
     write = out.write
     lines = _FORMATS[fmt]
     detector = PalindromeDetector()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for symbols in _token_lists(stream, out) if tokens else _chunks(stream, out):
             for start in range(0, len(symbols), _BATCH):
@@ -178,8 +184,11 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> None:
         _to_stderr(f"error: failed writing output: {exc}")
         sys.exit(1)
     finally:
+        if gc_was_enabled:
+            gc.enable()
         if not from_stdin:
             stream.close()
+    return detector
 
 
 # -- bench ----------------------------------------------------------------------
@@ -301,18 +310,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+def main(args: list[str] | None = None,
+         standalone_mode: bool = True) -> PalindromeDetector | None:
     """Run the command that ``args`` (by default ``sys.argv[1:]``) name.
 
-    With ``standalone_mode`` false, a command that succeeds returns and its
-    exceptions propagate; stdout is left as it is, for the caller to go on
-    writing.  Otherwise the process is the command's: Ctrl-C ends it with
-    ``Aborted!`` on stderr and exit 1, and a reader that closes the output
-    of `bench` or `selftest` early ends it with exit 1 and no message.  A
-    command that succeeds has stdout flushed and, when that is the
-    interpreter's own, descriptor 1 pointed at the null device, so that
-    the reader gets EOF right after the last record, not after interpreter
-    teardown.
+    With ``standalone_mode`` false, a command that succeeds returns what
+    the command returns, `run`'s detector or None, and its exceptions
+    propagate; stdout is left as it is, for the caller to go on writing.
+    Otherwise main returns None, and the process is the command's: Ctrl-C
+    ends it with ``Aborted!`` on stderr and exit 1, and a reader that
+    closes the output of `bench` or `selftest` early ends it with exit 1
+    and no message.  A command that succeeds has stdout flushed and, when
+    that is the interpreter's own, descriptor 1 pointed at the null
+    device, so that the reader gets EOF right after the last record, not
+    after `run`'s detector is freed or after interpreter teardown.
     """
     options = vars(_parser().parse_args(args))
     function = options.pop("function")
@@ -320,7 +331,9 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     if not standalone_mode:
         return function(**options)
     try:
-        function(**options)
+        # held until stdout is discarded: freeing a large detector takes
+        # milliseconds that the reader need not wait for
+        result = function(**options)
     except KeyboardInterrupt:
         _to_stderr("\nAborted!")
         sys.exit(1)

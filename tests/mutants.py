@@ -81,7 +81,8 @@ MUTANTS = (
            "                finally:\n                    pass\n"
            "                write(lines(reports))\n",
            ("tests/test_cli.py::TestRun::test_full_text_keeps_its_records_and_is_one_error_line",)),
-    # The reader of a finished command gets EOF before interpreter teardown.
+    # The reader of a finished command gets EOF before interpreter teardown,
+    # and the reader of `run` before its detector is freed.
     Mutant("main leaves stdout open", "cli.py",
            "            _discard_stdout()\n        except OSError:",
            "            pass\n        except OSError:",
@@ -89,6 +90,17 @@ MUTANTS = (
     Mutant("no null device fails the command", "cli.py",
            "except OSError:  # no null device", "except ZeroDivisionError:  # no null device",
            ("tests/test_cli.py::TestRun::test_no_null_device_keeps_the_success",)),
+    Mutant("main frees the detector before EOF", "cli.py",
+           "result = function(**options)", "function(**options)",
+           ("tests/test_cli.py::TestRun::test_output_ends_before_the_detector_is_freed",)),
+    # run pauses the cyclic collector for the stream and gives the caller's
+    # setting back.
+    Mutant("run streams with the collector on", "cli.py",
+           "    gc.disable()\n", "    pass\n",
+           ("tests/test_cli.py::TestCollector::test_run_streams_with_the_collector_paused",)),
+    Mutant("run leaves the collector off", "cli.py",
+           "        if gc_was_enabled:\n            gc.enable()\n", "",
+           ("tests/test_cli.py::TestCollector::test_run_gives_the_collector_back",)),
     # _clone's redirect: where it stops, the chain edge it copies, and a
     # clone's None target read through _clone_src.
     Mutant("the redirect stops one length early", "automaton.py",

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import ast
+import gc
 import io
 import json
 import os
 import random
 import select
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import palstream
+import palstream.cli
 from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
 from palstream.bench import run_config
 from palstream.cli import _FORMATS, _token_lists, main
@@ -207,14 +210,23 @@ HELD_AT_EXIT = ("import atexit, os, runpy, sys; "
                 "runpy.run_module('palstream.cli', run_name='__main__', alter_sys=True)")
 
 
-def output_before_teardown(env, args, stdin, timeout=30.0):
-    """`palstream ARGS` in ``env`` on ``stdin``, held at exit: the stdout
-    it writes up to EOF, or None when no EOF comes within ``timeout``, and
-    its exit status once it is let go."""
+# As HELD_AT_EXIT, but what is held is the freeing of a detector: its
+# `__del__` waits on the descriptor, in place of the atexit handler
+HELD_AT_DETECTOR_FREE = (
+    "import os, runpy, sys, palstream.detector; "
+    "go_fd = int(sys.argv.pop(1)); "
+    "palstream.detector.PalindromeDetector.__del__ = lambda self: os.read(go_fd, 1); "
+    "runpy.run_module('palstream.cli', run_name='__main__', alter_sys=True)")
+
+
+def output_before_teardown(env, args, stdin, timeout=30.0, held=HELD_AT_EXIT):
+    """`palstream ARGS` in ``env`` on ``stdin``, held at exit (or where
+    ``held`` holds it): the stdout it writes up to EOF, or None when no EOF
+    comes within ``timeout``, and its exit status once it is let go."""
     go_read, go_write = os.pipe()
     try:
         proc = subprocess.Popen(
-            [sys.executable, "-c", HELD_AT_EXIT, str(go_read), *args], stdin=stdin,
+            [sys.executable, "-c", held, str(go_read), *args], stdin=stdin,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, pass_fds=(go_read,))
     finally:
         os.close(go_read)
@@ -231,7 +243,7 @@ def output_before_teardown(env, args, stdin, timeout=30.0):
                 break
             received += chunk
     finally:
-        os.close(go_write)  # the atexit handler reads EOF and returns
+        os.close(go_write)  # the held handler reads EOF and returns
         try:
             proc.wait(timeout=60)
         except subprocess.TimeoutExpired:
@@ -333,6 +345,18 @@ class RunInChildChecks:
         assert status == 0
         if args[0] == "run":
             assert received == dumps_records(REFERENCE_WORD).encode()
+
+    def test_output_ends_before_the_detector_is_freed(self, tmp_path, env):
+        # freeing a large detector takes milliseconds; the reader need not
+        # wait for them
+        path = tmp_path / "input.txt"
+        path.write_bytes(REFERENCE_WORD.encode())
+        with open(path, "rb") as stdin:
+            received, status = output_before_teardown(
+                env, ["run", "--format", "jsonl"], stdin, held=HELD_AT_DETECTOR_FREE)
+        assert received is not None, "no EOF before the detector is freed"
+        assert received == dumps_records(REFERENCE_WORD).encode()
+        assert status == 0
 
     def test_embedded_main_leaves_stdout_open(self, tmp_path, env):
         # `standalone_mode=False` returns to a caller that goes on writing
@@ -580,6 +604,90 @@ class TestRun(RunInChildChecks):
         expected = (table_text if fmt == "table" else dumps_records)(data).encode()
         assert bytes(raw.data) == expected
         assert raw.writes <= len(expected) // 4096 + 2
+
+
+class TestCollector:
+    """`run` streams with the cyclic garbage collector paused (the engine
+    makes no reference cycles) and gives the caller's setting back however
+    the run ends."""
+
+    @pytest.fixture
+    def feeds(self, monkeypatch):
+        """Whether the collector was on, at each call of the detector's
+        ``feed`` in `run`."""
+        readings = []
+
+        class Recording(PalindromeDetector):
+            def feed(self, symbols):
+                readings.append(gc.isenabled())
+                return super().feed(symbols)
+
+        monkeypatch.setattr(palstream.cli, "PalindromeDetector", Recording)
+        assert gc.isenabled()
+        yield readings
+        gc.enable()  # whatever a failing test left
+
+    @staticmethod
+    def end_run(ending, monkeypatch, tmp_path):
+        """`palstream run` in this process, run to ``ending``; its exit
+        status."""
+        if ending == "success":
+            return invoke(["run"], input=REFERENCE_WORD.encode()).exit_code
+        if ending == "invalid_utf8":  # the first read's token, then the error
+            return invoke(["run", "--tokens"], input=ShortReads(b"ok \xff\xfe", 3)).exit_code
+        if ending == "symbol_limit":
+            limit_symbols(monkeypatch, 5)
+            return invoke(["run"], input=b"abcdefg").exit_code
+        # a closed pipe: the reader has gone before the first write
+        path = tmp_path / "input.txt"
+        path.write_bytes(REFERENCE_WORD.encode())
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        saved = sys.stdout
+        sys.stdout = out = open(write_end, "w")
+        try:
+            main(["run", str(path)])
+            # run found the pipe closed and pointed it at the null device
+            assert stat.S_ISCHR(os.fstat(write_end).st_mode)
+        finally:
+            sys.stdout = saved
+            out.close()
+        return 0
+
+    @pytest.mark.parametrize("caller", ["collector_on", "collector_off"])
+    @pytest.mark.parametrize("ending, status", [("success", 0), ("invalid_utf8", 1),
+                                                ("symbol_limit", 1), ("closed_pipe", 0)])
+    def test_run_gives_the_collector_back(self, feeds, monkeypatch, tmp_path, caller,
+                                          ending, status):
+        if caller == "collector_off":
+            gc.disable()
+        assert self.end_run(ending, monkeypatch, tmp_path) == status
+        assert feeds and not any(feeds)
+        assert gc.isenabled() == (caller == "collector_on")
+
+    @pytest.mark.parametrize("embedded", [False, True], ids=["invoke", "embedded_main"])
+    def test_run_streams_with_the_collector_paused(self, feeds, monkeypatch, tmp_path,
+                                                   embedded):
+        data = bytes(random.Random(3).choices(b"abc", k=1000))
+        if embedded:
+            path = tmp_path / "input.txt"
+            path.write_bytes(data)
+            monkeypatch.setattr(sys, "stdout", io.StringIO())
+            main(["run", str(path)], standalone_mode=False)
+        else:
+            assert invoke(["run"], input=data).exit_code == 0
+        assert feeds == [False] * 4  # one a piece of 256 symbols
+        assert gc.isenabled()
+
+    def test_embedded_main_returns_the_detector(self, monkeypatch, tmp_path):
+        path = tmp_path / "input.txt"
+        data = REFERENCE_WORD.encode() * 30
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        detector = main(["run", str(path)], standalone_mode=False)
+        assert isinstance(detector, PalindromeDetector)
+        assert detector.n == len(data)
+        assert detector.distinct_count == pushed_reports(data)[-1].distinct_count
 
 
 class TestFormats:

@@ -1,6 +1,10 @@
 """Tests for the combined per-symbol palindrome detector."""
 
+import gc
+import io
 import random
+import string
+import sys
 from itertools import count, pairwise
 
 import pytest
@@ -10,12 +14,13 @@ from hypothesis import strategies as st
 from palstream import (ChildStorageMode, DetectorSummary, OnlineManacher,
                        OnlineSuffixAutomaton, PalindromeDetector, PerfCounters,
                        StepReport)
+from palstream import cli
 from palstream import detector as detector_module
 from palstream import oracle
 from palstream.bench import run_config
 from palstream.selftest import oracle_failures
 from reference import expected_reports
-from support import FailsOnCall, all_strings, limit_symbols, random_tokens
+from support import FailsOnCall, all_strings, fibonacci_word, limit_symbols, random_tokens
 from tracing import Tracer, trace_detector
 
 REFERENCE_WORD = "abadaadcaa"
@@ -627,3 +632,81 @@ class TestTracingHooks:
         for name in ("detector.push", "manacher.odd.add_letter",
                      "manacher.even.add_letter", "ukkonen.add_letter"):
             assert counts[name] == len(REFERENCE_WORD), name
+
+
+def unreachable_after(work):
+    """The objects that the cyclic garbage collector finds unreachable once
+    ``work()`` has run, with the collector paused, and returned, dropping
+    what it made."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+_rng = random.Random(29)
+CYCLE_WORDS = {
+    "random_letters": "".join(_rng.choices(string.ascii_lowercase, k=10_000)),
+    "random_three_letter_tokens": ["".join(_rng.choices(string.ascii_lowercase, k=3))
+                                   for _ in range(10_000)],
+    "a5000_b": "a" * 5000 + "b",
+    "fibonacci": fibonacci_word(10_000),
+}
+
+
+class TestNoReferenceCycles:
+    """The engine makes no reference cycles: reference counting alone frees
+    a stream's objects, which is what lets `palstream run` pause the cyclic
+    collector.  A failed push is the exception: the detector holds the
+    exception, whose traceback holds a frame that holds the detector.  The
+    collector, which `run` restores when the stream ends, frees that."""
+
+    @pytest.mark.parametrize("word", list(CYCLE_WORDS))
+    @pytest.mark.parametrize("path", ["push", "feed"])
+    def test_a_stream_makes_no_cycles(self, path, word):
+        symbols = CYCLE_WORDS[word]
+
+        def work():
+            for mode in ChildStorageMode:
+                detector = PalindromeDetector(mode)
+                if path == "push":
+                    reports = [detector.push(c) for c in symbols]
+                else:
+                    reports = list(detector.feed(symbols))
+                assert reports[-1].n == len(symbols)
+                assert not detector.finish().bound_problems()
+
+        assert unreachable_after(work) == 0
+
+    @pytest.mark.parametrize("fmt, tokens", [("table", False), ("jsonl", False),
+                                             ("jsonl", True)],
+                             ids=["table", "jsonl", "tokens"])
+    def test_run_makes_no_cycles(self, monkeypatch, tmp_path, fmt, tokens):
+        # run_command, not main: the argument parser is a web of cycles
+        path = tmp_path / "input.txt"
+        path.write_text(" ".join(CYCLE_WORDS["random_three_letter_tokens"]) if tokens
+                        else CYCLE_WORDS["random_letters"])
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+
+        def work():
+            assert cli.run_command(str(path), fmt, tokens).n == 10_000
+
+        assert unreachable_after(work) == 0
+        assert out.getvalue().count("\n") == 10_000 + (fmt == "table")
+
+    def test_a_failed_push_makes_a_cycle(self):
+        def work():
+            detector = PalindromeDetector(ChildStorageMode.UNORDERED)
+            detector.push("a")
+            try:
+                detector.push(FailsOnCall(1))
+            except ArithmeticError:
+                pass
+
+        assert unreachable_after(work) > 0
