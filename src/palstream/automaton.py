@@ -18,6 +18,9 @@ from ._buffer import _MAX_SYMBOLS, _new_ints, _new_text
 
 __all__ = ["ChildStorageMode", "PerfCounters", "OnlineSuffixAutomaton"]
 
+#: ``m.bit_length() + 1``, an ordered search's probes among ``m`` symbols, for ``m < 64``
+_PROBES = tuple(m.bit_length() + 1 for m in range(64))
+
 
 class ChildStorageMode(str, Enum):
     """How the outgoing transitions of a state are stored and searched.
@@ -84,6 +87,19 @@ class OnlineSuffixAutomaton:
       stores that state's chain edge with ``None`` for its target: ``None``
       means ``_clone_src[k] + 1``, until a redirect overwrites it.
 
+    The clone step, inline in both walks so that a clone makes no call: when
+    the walk's first transition on ``c``, from ``p`` into ``q``, is not
+    solid, a clone of length ``len(p) + 1`` with ``q``'s transitions takes
+    it over, and those on ``c`` into ``q`` of the states on ``p``'s suffix
+    path.  ``q``'s strings are the suffixes of its longest one that are
+    longer than its suffix link, so such a state leads to ``q`` on ``c``
+    exactly while its length is at least that of ``q``'s old link (Blumer
+    et al., 1985).  The redirect stops on that length, and every search it
+    makes is a hit in a stored list: from a state shorter than ``p``, ``q``
+    is not solid, so it is never a chain edge.  A state there with no
+    transition on ``c`` to ``q``, ``None`` read through its ``_clone_src``,
+    raises :class:`RuntimeError`: the structure is corrupt.
+
     The automaton owns its text, a symbol buffer laid out as
     :mod:`palstream._buffer` describes, so symbol ``i + 1`` is
     ``text[i + 2]``.  :meth:`add_letter` appends each symbol before
@@ -124,7 +140,7 @@ class OnlineSuffixAutomaton:
         Walks the suffix links from the previous whole-text state, giving
         each state without a transition on ``c`` one to the new state.  The
         first state that has one decides the new state's suffix link, after
-        cloning its target when that transition is not solid.
+        the clone step when that transition is not solid.
         """
         if self._failure is not None:
             raise RuntimeError("automaton unusable: an earlier add_letter failed "
@@ -134,11 +150,9 @@ class OnlineSuffixAutomaton:
         if cur > _MAX_SYMBOLS:
             raise OverflowError(f"symbol limit reached: at most {_MAX_SYMBOLS} symbols")
         text.append(c)
+        probes = hops = 0  # added to the totals once the walk ends
         try:
             link, out, ordered = self._link, self._out, self._ordered
-            # The walk counts its probes and hops in these locals and adds
-            # them to the totals once it ends.
-            probes = hops = 0
             p = link[cur - 1]  # cur - 1 reaches cur by its chain edge
             while p != -1:
                 if p >= 0:
@@ -156,7 +170,7 @@ class OnlineSuffixAutomaton:
                     edges = self._clone_out[~p]
                 m = len(edges) >> 1
                 if ordered:
-                    probes += m.bit_length() + 1
+                    probes += _PROBES[m] if m < 64 else m.bit_length() + 1
                     i = bisect_left(edges, c, 0, m)
                     if i < m and edges[i] == c:
                         q = edges[m + i]
@@ -177,9 +191,7 @@ class OnlineSuffixAutomaton:
                     probes += m
                 if m == 1:
                     # a literal holds exactly four slots, where two inserts
-                    # would grow the list to six or eight.  Only a state that
-                    # misses gets a new list, so the list where the walk hits,
-                    # which _clone receives as p_edges, is the stored one.
+                    # would grow the list to six or eight
                     s, t = edges
                     edges = [c, s, cur, t] if i == 0 else [s, c, t, cur]
                     if p >= 0:
@@ -191,8 +203,6 @@ class OnlineSuffixAutomaton:
                     edges.insert(i, c)
                 hops += 1
                 p = link[p] if p >= 0 else self._clone_link[~p]
-            self._probes += probes
-            self._hops += hops
             if p == -1:  # c is new: only the empty suffix occurs earlier
                 link.append(0)
                 return 1
@@ -200,34 +210,88 @@ class OnlineSuffixAutomaton:
                 q = self._clone_src[~p] + 1
             clone_len = self._clone_len
             len_p = p if p >= 0 else clone_len[~p]
-            # the new state's link has length len_p + 1, whether q or a clone
-            if len_p + 1 == (q if q >= 0 else clone_len[~q]):
-                link.append(q)
-            else:
-                link.append(self._clone(p, q, c, len_p + 1, edges, m + i))
+            # the new state's link has length len_p + 1: q, or q's clone
+            if len_p + 1 != (q if q >= 0 else clone_len[~q]):  # the clone step
+                clone_link, clone_out = self._clone_link, self._clone_out
+                clone_src = self._clone_src
+                k = len(clone_len)
+                if k >= cur - 1:  # Blumer et al.: at most 2n - 1 states once n >= 2
+                    raise RuntimeError(f"state bound violated: {cur + 1 + k} states "
+                                       f"> 2n - 1 = {2 * cur - 1}")
+                clone = ~k
+                edges[m + i] = clone  # p's transition, where the walk found it
+                clone_len.append(len_p + 1)
+                clone_src.append(q if q >= 0 else clone_src[~q])
+                # q stores none on its chain symbol: the copy adds it without a lookup
+                if q >= 0:
+                    chain = text[q + 2]
+                    edges = out.get(q)
+                    if edges is None:
+                        edges = [chain, None]
+                    else:
+                        edges = edges.copy()
+                        i = m = len(edges) >> 1
+                        if ordered:
+                            probes += _PROBES[m] if m < 64 else m.bit_length() + 1
+                            i = bisect_left(edges, chain, 0, m)
+                        edges.insert(m + i, None)
+                        edges.insert(i, chain)
+                    clone_out.append(edges)
+                    old_link = link[q]
+                    link[q] = clone
+                else:
+                    clone_out.append(clone_out[~q].copy())
+                    old_link = clone_link[~q]
+                    clone_link[~q] = clone
+                clone_link.append(old_link)
+                bound = old_link if old_link >= 0 else clone_len[~old_link]
+                hops += 1
+                p = link[p] if p >= 0 else clone_link[~p]
+                while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound:
+                    edges = out.get(p, ()) if p >= 0 else clone_out[~p]
+                    m = len(edges) >> 1
+                    if ordered:
+                        probes += _PROBES[m] if m < 64 else m.bit_length() + 1
+                        i = bisect_left(edges, c, 0, m)
+                    else:  # c stands in past the symbols, so a miss is i == m
+                        i = [*edges[:m], c].index(c)
+                        probes += i + 1
+                    t = edges[m + i] if i < m else -1
+                    if (clone_src[~p] + 1 if t is None else t) != q:
+                        raise RuntimeError(f"automaton corrupt: state {p} has no "
+                                           f"transition on {c!r} to state {q}")
+                    edges[m + i] = clone
+                    hops += 1
+                    p = link[p] if p >= 0 else clone_link[~p]
+                q = clone
+            link.append(q)
             return len_p + 2
         except BaseException as exc:
             self._failure = exc
             raise
+        finally:
+            self._probes += probes
+            self._hops += hops
 
     def _add_batch(self, symbols: list, answers: list) -> None:
         """:meth:`add_letter` for each of ``symbols`` in turn, appending each
         answer to ``answers``.
 
-        The same walk in one loop, with the structure's fields in locals and
-        the probe and hop counts added to the totals once the loop ends.  An
-        exception propagates with ``answers`` holding the answers for the
-        symbols before the one that raised, as :meth:`add_letter` would:
-        past the symbol limit an :class:`OverflowError` after the symbols
-        that fit, any other exception after stopping the automaton.
+        The same walk and clone step in one loop, with the structure's fields
+        and the text's length in locals and the probe and hop counts added to
+        the totals once the loop ends.  An exception propagates with
+        ``answers`` holding the answers for the symbols before the one that
+        raised, as :meth:`add_letter` would: past the symbol limit an
+        :class:`OverflowError` after the symbols that fit, any other
+        exception after stopping the automaton.
         """
         if self._failure is not None:
             raise RuntimeError("automaton unusable: an earlier add_letter failed "
                                f"with {self._failure!r}") from self._failure
         text = self._text
-        room = _MAX_SYMBOLS - (len(text) - 2)
-        if len(symbols) > room:
-            self._add_batch(symbols[:room], answers)
+        cur = len(text) - 2
+        if len(symbols) > _MAX_SYMBOLS - cur:
+            self._add_batch(symbols[:_MAX_SYMBOLS - cur], answers)
             raise OverflowError(f"symbol limit reached: at most {_MAX_SYMBOLS} symbols")
         append_symbol, answer = text.append, answers.append
         link, out, ordered = self._link, self._out, self._ordered
@@ -237,7 +301,7 @@ class OnlineSuffixAutomaton:
         try:
             for c in symbols:
                 append_symbol(c)
-                cur = len(text) - 2
+                cur += 1
                 p = link[cur - 1]
                 while p != -1:
                     if p >= 0:
@@ -255,7 +319,7 @@ class OnlineSuffixAutomaton:
                         edges = clone_out[~p]
                     m = len(edges) >> 1
                     if ordered:
-                        probes += m.bit_length() + 1
+                        probes += _PROBES[m] if m < 64 else m.bit_length() + 1
                         i = bisect_left(edges, c, 0, m)
                         if i < m and edges[i] == c:
                             q = edges[m + i]
@@ -291,10 +355,57 @@ class OnlineSuffixAutomaton:
                 if q is None:
                     q = clone_src[~p] + 1
                 len_p = p if p >= 0 else clone_len[~p]
-                if len_p + 1 == (q if q >= 0 else clone_len[~q]):
-                    link.append(q)
-                else:
-                    link.append(self._clone(p, q, c, len_p + 1, edges, m + i))
+                if len_p + 1 != (q if q >= 0 else clone_len[~q]):  # as in add_letter
+                    k = len(clone_len)
+                    if k >= cur - 1:
+                        raise RuntimeError(f"state bound violated: {cur + 1 + k} states "
+                                           f"> 2n - 1 = {2 * cur - 1}")
+                    clone = ~k
+                    edges[m + i] = clone
+                    clone_len.append(len_p + 1)
+                    clone_src.append(q if q >= 0 else clone_src[~q])
+                    if q >= 0:
+                        chain = text[q + 2]
+                        edges = out.get(q)
+                        if edges is None:
+                            edges = [chain, None]
+                        else:
+                            edges = edges.copy()
+                            i = m = len(edges) >> 1
+                            if ordered:
+                                probes += _PROBES[m] if m < 64 else m.bit_length() + 1
+                                i = bisect_left(edges, chain, 0, m)
+                            edges.insert(m + i, None)
+                            edges.insert(i, chain)
+                        clone_out.append(edges)
+                        old_link = link[q]
+                        link[q] = clone
+                    else:
+                        clone_out.append(clone_out[~q].copy())
+                        old_link = clone_link[~q]
+                        clone_link[~q] = clone
+                    clone_link.append(old_link)
+                    bound = old_link if old_link >= 0 else clone_len[~old_link]
+                    hops += 1
+                    p = link[p] if p >= 0 else clone_link[~p]
+                    while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound:
+                        edges = out.get(p, ()) if p >= 0 else clone_out[~p]
+                        m = len(edges) >> 1
+                        if ordered:
+                            probes += _PROBES[m] if m < 64 else m.bit_length() + 1
+                            i = bisect_left(edges, c, 0, m)
+                        else:
+                            i = [*edges[:m], c].index(c)
+                            probes += i + 1
+                        t = edges[m + i] if i < m else -1
+                        if (clone_src[~p] + 1 if t is None else t) != q:
+                            raise RuntimeError(f"automaton corrupt: state {p} has no "
+                                               f"transition on {c!r} to state {q}")
+                        edges[m + i] = clone
+                        hops += 1
+                        p = link[p] if p >= 0 else clone_link[~p]
+                    q = clone
+                link.append(q)
                 answer(len_p + 2)
         except BaseException as exc:
             self._failure = exc
@@ -302,92 +413,6 @@ class OnlineSuffixAutomaton:
         finally:
             self._probes += probes
             self._hops += hops
-
-    def _clone(self, p: int, q: int, c, length: int, p_edges: list, target: int) -> int:
-        """Split ``q`` for the new symbol ``c``: a clone of length ``length``
-        takes over the transitions on ``c`` into ``q`` from ``p`` and the
-        states on ``p``'s suffix path.  ``p``'s transition is
-        ``p_edges[target]``, where :meth:`add_letter`'s walk found it.
-        Returns the clone.  A clone of a prefix state ``q`` stores ``q``'s
-        chain edge with the target ``None`` and ``q`` in ``_clone_src``; a
-        clone of a clone copies its list and its ``_clone_src``.
-
-        ``q``'s strings are the suffixes of its longest one that are longer
-        than its suffix link, so a state on ``p``'s suffix path leads to ``q``
-        on ``c`` exactly while its length is at least that of ``q``'s old
-        link (Blumer et al., 1985).  The redirect stops on that length, and
-        every search it makes is a hit in a stored list: from a state shorter
-        than ``p``, ``q`` is not solid, so it is never a chain edge.  A state
-        there that stores no transition on ``c`` to ``q``, ``None`` read
-        through its ``_clone_src``, raises :class:`RuntimeError`: the
-        structure is corrupt.
-        """
-        text, link, out, ordered = self._text, self._link, self._out, self._ordered
-        clone_len, clone_link, clone_out = self._clone_len, self._clone_link, self._clone_out
-        clone_src = self._clone_src
-        k = len(clone_len)
-        n = len(text) - 2
-        if k >= n - 1:  # Blumer et al.: at most 2n - 1 states once n >= 2
-            raise RuntimeError(f"state bound violated: {n + 1 + k} states "
-                               f"> 2n - 1 = {2 * n - 1}")
-        clone = ~k
-        clone_len.append(length)
-        clone_src.append(q if q >= 0 else clone_src[~q])
-        probes = 0
-        if q >= 0:
-            # the clone's transitions are q's and its chain edge, target None;
-            # q stores no transition on the chain symbol, so unordered mode
-            # appends it and ordered mode bisects only for where it goes
-            chain = text[q + 2]
-            edges = out.get(q)
-            if edges is None:
-                edges = [chain, None]
-            else:
-                edges = edges.copy()
-                m = len(edges) >> 1
-                if ordered:
-                    probes = m.bit_length() + 1
-                    i = bisect_left(edges, chain, 0, m)
-                else:
-                    i = m
-                edges.insert(m + i, None)
-                edges.insert(i, chain)
-            clone_out.append(edges)
-            old_link = link[q]
-            link[q] = clone
-        else:
-            clone_out.append(clone_out[~q].copy())
-            old_link = clone_link[~q]
-            clone_link[~q] = clone
-        clone_link.append(old_link)
-        bound = old_link if old_link >= 0 else clone_len[~old_link]
-        p_edges[target] = clone
-        hops = 1
-        p = link[p] if p >= 0 else clone_link[~p]
-        while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound:
-            edges = out.get(p, ()) if p >= 0 else clone_out[~p]
-            m = len(edges) >> 1
-            if ordered:
-                probes += m.bit_length() + 1
-                i = bisect_left(edges, c, 0, m)
-            else:
-                try:
-                    i = edges.index(c, 0, m)
-                except ValueError:
-                    i = m
-                probes += i + 1
-            t = edges[m + i] if i < m else -1
-            if t is None:  # the chain edge a clone copied
-                t = clone_src[~p] + 1
-            if t != q:
-                raise RuntimeError(f"automaton corrupt: state {p} has no transition "
-                                   f"on {c!r} to state {q}")
-            edges[m + i] = clone
-            hops += 1
-            p = link[p] if p >= 0 else clone_link[~p]
-        self._probes += probes
-        self._hops += hops
-        return clone
 
     # -- queries ---------------------------------------------------------------
 

@@ -7,7 +7,7 @@ appended symbol, in amortized constant time per symbol.
 On the batch path, :func:`_add_spans` takes an odd and an even tracker over
 a run of symbols in one loop, each symbol through both parities.  A symbol
 that fails in the even step has already passed the odd one, so the odd
-tracker's answers and loop total count it.
+tracker's answers, center and loop total count it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ class OnlineManacher:
     has been added, every :meth:`add_letter` starts with ``_i + _r == n``,
     ``n`` being the position of the last symbol before the new one, so it
     first tests whether the new symbol extends that palindrome, which
-    touches no storage.
+    touches no storage.  So ``_i + _r - 2`` counts the symbols after the
+    first, each of which makes that first test, and ``_loop_iters`` holds
+    only the center searches' further passes: a hit writes no counter.
 
     A tracker built by the constructor owns its text and appends each
     symbol to it; once :meth:`add_letter` has raised (say, in a symbol's
@@ -103,7 +105,6 @@ class OnlineManacher:
         try:
             if text[i - r - 1 + delta] == c:
                 self._r = r + 1  # the suffix-palindrome extends over c
-                self._loop_iters += 1
                 return 2 * r + 3 - delta
             rad = self._rad
             try:
@@ -113,11 +114,11 @@ class OnlineManacher:
                 # appends stored radii clamped down, which already fit.
                 self._rad = rad = array("H" if r <= 0xFFFF else "i", rad)
                 rad.append(r)
-            iters = 1
+            passes = 0
             mirror = 2 * i  # i + r == n: position k reflects onto mirror - k
             i += 1
             while i <= n:
-                iters += 1
+                passes += 1
                 r = rad[mirror - i]
                 if r > n - i:
                     r = n - i
@@ -132,7 +133,7 @@ class OnlineManacher:
             self._failure = exc
             raise
         self._i, self._r = i, r
-        self._loop_iters += iters
+        self._loop_iters += passes
         return 2 * r + 1 - delta
 
     def max_pal(self) -> int:
@@ -147,8 +148,9 @@ class OnlineManacher:
 
     @property
     def loop_iterations(self) -> int:
-        """Total inner-loop passes since construction (monotone)."""
-        return self._loop_iters
+        """Total inner-loop passes since construction (monotone): a first
+        test per symbol after the first, and the center searches' passes."""
+        return self._loop_iters + max(0, self._i + self._r - 2)
 
 
 def _add_spans(odd: OnlineManacher, even: OnlineManacher, start: int, stop: int,
@@ -165,7 +167,8 @@ def _add_spans(odd: OnlineManacher, even: OnlineManacher, start: int, stop: int,
     slots once it ends.  An exception propagates with each tracker's answers,
     slots and loop total as :meth:`~OnlineManacher.add_letter` leaves them:
     a symbol that fails in the even step has already been absorbed by the
-    odd tracker, whose answers and loop total then count it.
+    odd tracker, whose answers and center, and so its loop total, then count
+    it.
     """
     text, orad, erad = odd._text, odd._rad, even._rad
     odd_append, even_append = odd_lengths.append, even_lengths.append
@@ -174,10 +177,8 @@ def _add_spans(odd: OnlineManacher, even: OnlineManacher, start: int, stop: int,
         odd_append(1)
         even_append(0)
         start = 3
-    # Each answer appended below counts one loop pass, its symbol's first
-    # test; only a center search's further passes are added to these.
-    oiters = -len(odd_lengths)
-    eiters = -len(even_lengths)
+    # the center searches' passes; the first tests are counted from the centers
+    oiters = eiters = 0
     try:
         for n in range(start - 1, stop - 1):  # c is at n + 1; oi + o_r == ei + er == n
             c = text[n + 1]
@@ -235,6 +236,6 @@ def _add_spans(odd: OnlineManacher, even: OnlineManacher, start: int, stop: int,
             even_append(2 * er)
     finally:
         odd._i, odd._r = oi, o_r
-        odd._loop_iters += oiters + len(odd_lengths)
+        odd._loop_iters += oiters
         even._i, even._r = ei, er
-        even._loop_iters += eiters + len(even_lengths)
+        even._loop_iters += eiters

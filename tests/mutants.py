@@ -39,8 +39,24 @@ _FEED_WIDTHS = "tests/test_detector.py::TestRadiusWidths::test_feed_widens_on_un
 _ONE_BYTE_RADII = ("tests/test_manacher.py::TestMemory",
                    "tests/test_detector.py::TestRadiusWidths::test_random_text_keeps_one_byte_radii")
 _REFERENCE_AUTOMATON = "tests/test_automaton.py::TestReferenceAutomaton"
+_WRONG_CLONE_SOURCE = (
+    "tests/test_automaton.py::TestCorruptRedirect::test_wrong_clone_source_raises_and_stops")
+_PINNED_THROUGH_PUSH = "tests/test_detector.py::TestPinnedCounters::test_exact_totals_through_push"
 _FOUR_SLOTS = ("tests/test_automaton.py::TestListCapacity",
                "tests/test_automaton.py::TestMemory::test_random_text_costs_at_most_91_5_bytes")
+
+
+def _in_each_walk(name: str, line: str, replacement: str,
+                  tests: tuple[str, ...]) -> tuple[Mutant, Mutant]:
+    """The mutant of ``line`` in add_letter's clone step, named ``name``, and
+    in _add_batch's, named ``name`` + " in _add_batch".  ``line`` and
+    ``replacement`` are as in add_letter, less the 16 spaces that indent the
+    clone step there."""
+    indent = "\n                "
+    return (Mutant(name, "automaton.py", indent + line, indent + replacement, tests),
+            Mutant(f"{name} in _add_batch", "automaton.py", indent + "    " + line,
+                   indent + "    " + replacement, tests))
+
 
 MUTANTS = (
     # The radius widths of manacher._add_spans (the batch path) and of a new
@@ -65,11 +81,11 @@ MUTANTS = (
     Mutant("radii start at two bytes", "manacher.py",
            'self._rad = array("B", (0, 0))', 'self._rad = array("H", (0, 0))',
            _ONE_BYTE_RADII),
-    # After a symbol fails in the even step, the odd tracker's loop total
-    # counts that symbol's first test.
-    Mutant("odd loop total counted from the even answers", "manacher.py",
-           "odd._loop_iters += oiters + len(odd_lengths)",
-           "odd._loop_iters += oiters + len(even_lengths)",
+    # A tracker's loop total counts one first test per symbol after the first
+    # from its center, which a symbol that fails has not moved, not from its
+    # text, which holds that symbol (and, on the batch path, the ones after).
+    Mutant("loop total from the text length", "manacher.py",
+           "max(0, self._i + self._r - 2)", "max(0, len(self._text) - 3)",
            ("tests/test_manacher.py::TestSpan",)),
     # The reports before a failing symbol are given, by feed and by run.
     Mutant("a failing batch's reports dropped", "detector.py",
@@ -101,29 +117,44 @@ MUTANTS = (
     Mutant("run leaves the collector off", "cli.py",
            "        if gc_was_enabled:\n            gc.enable()\n", "",
            ("tests/test_cli.py::TestCollector::test_run_gives_the_collector_back",)),
-    # _clone's redirect: where it stops, the chain edge it copies, and a
-    # clone's None target read through _clone_src.
-    Mutant("the redirect stops one length early", "automaton.py",
-           "(p if p >= 0 else clone_len[~p]) >= bound:",
-           "(p if p >= 0 else clone_len[~p]) >= bound + 1:",
-           (_REFERENCE_AUTOMATON,)),
-    Mutant("the redirect stops one length late", "automaton.py",
-           "(p if p >= 0 else clone_len[~p]) >= bound:",
-           "(p if p >= 0 else clone_len[~p]) >= bound - 1:",
-           (_REFERENCE_AUTOMATON,)),
-    Mutant("the chain symbol appended unsorted", "automaton.py",
-           "i = bisect_left(edges, chain, 0, m)", "i = m",
-           (_REFERENCE_AUTOMATON,)),
-    Mutant("a clone of a clone given source 0", "automaton.py",
-           "clone_src.append(q if q >= 0 else clone_src[~q])",
-           "clone_src.append(q if q >= 0 else 0)",
-           (_REFERENCE_AUTOMATON,)),
+    # The clone step in each walk: where its redirect stops, the chain edge it
+    # copies, and a clone's None target read through _clone_src.  The step is
+    # the same code in both, _add_batch's indented one level deeper, so a
+    # snippet starts with its line's indentation.
+    *_in_each_walk("the redirect stops one length early",
+                   "while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound:",
+                   "while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound + 1:",
+                   (_REFERENCE_AUTOMATON,)),
+    *_in_each_walk("the redirect stops one length late",
+                   "while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound:",
+                   "while p != -1 and (p if p >= 0 else clone_len[~p]) >= bound - 1:",
+                   (_REFERENCE_AUTOMATON,)),
+    *_in_each_walk("the chain symbol appended unsorted",
+                   "            i = bisect_left(edges, chain, 0, m)", "            i = m",
+                   (_REFERENCE_AUTOMATON,)),
+    *_in_each_walk("a clone of a clone given source 0",
+                   "clone_src.append(q if q >= 0 else clone_src[~q])",
+                   "clone_src.append(q if q >= 0 else 0)",
+                   (_REFERENCE_AUTOMATON,)),
+    *_in_each_walk("the redirect trusts None",
+                   "    if (clone_src[~p] + 1 if t is None else t) != q:",
+                   "    if (q if t is None else t) != q:",
+                   (_WRONG_CLONE_SOURCE,)),
+    Mutant("add_letter drops the + 1 of a None target", "automaton.py",
+           "q = self._clone_src[~p] + 1", "q = self._clone_src[~p]",
+           (_REFERENCE_AUTOMATON, _PINNED_THROUGH_PUSH)),
     Mutant("_add_batch drops the + 1 of a None target", "automaton.py",
            "q = clone_src[~p] + 1", "q = clone_src[~p]",
            (_REFERENCE_AUTOMATON, "tests/test_detector.py::TestPinnedCounters")),
-    Mutant("the redirect trusts None", "automaton.py",
-           "t = clone_src[~p] + 1", "t = q",
-           ("tests/test_automaton.py::TestCorruptRedirect::test_wrong_clone_source_raises_and_stops",)),
+    # The walks' table of probe counts, and _add_batch's position kept in a
+    # local.
+    Mutant("a probe-table entry off by one", "automaton.py",
+           "tuple(m.bit_length() + 1 for m in range(64))",
+           "tuple(m.bit_length() + 1 + (m == 40) for m in range(64))",
+           ("tests/test_automaton.py::TestBoundsAndCounters::test_probe_table",)),
+    Mutant("the batch position off by one", "automaton.py",
+           "cur = len(text) - 2", "cur = len(text) - 1",
+           ("tests/test_automaton.py::TestBatch",)),
     # A list that gains its second transition gets four slots, in each walk.
     Mutant("add_letter's four-slot literal disabled", "automaton.py",
            "if m == 1:\n                    # a literal",

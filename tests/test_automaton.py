@@ -9,6 +9,7 @@ import string
 import sys
 import tracemalloc
 from collections import Counter, deque
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,15 @@ class TestBoundsAndCounters:
             automaton.add_letter(c)
         assert automaton.counters().child_probes == 6
 
+    def test_probe_table(self):
+        # the walks count an ordered search among m symbols from the table
+        # below its end and by the formula past it, which ordered tokens256
+        # reaches in TestPinnedCounters with its root's 255 symbols
+        table = palstream.automaton._PROBES
+        assert len(table) <= 255
+        for m, probes in enumerate(table):
+            assert probes == m.bit_length() + 1, m
+
     def test_clone_past_2n_minus_1_states_raises(self):
         # "abb" clones once, at n = 3, into its fifth state (2n - 1 = 5); a
         # padded clone slot makes that clone the sixth
@@ -352,8 +362,8 @@ def transition_lists(a):
 
 class TestUnorderedScan:
     """The unordered walks find a missing symbol at the stand-in they put in
-    the first target slot, not through ``ValueError``; ``_clone`` searches
-    only for symbols that are there."""
+    the first target slot, not through ``ValueError``; the clone step's
+    redirect, past the symbols."""
 
     def test_walks_raise_no_exception(self):
         w = random.Random(17).choices("abcdefghijklmnopqrstuvwxyz", k=1000)
@@ -375,7 +385,7 @@ class TestUnorderedScan:
         finally:
             sys.setprofile(previous)
         assert raised == []
-        assert len(one._clone_len) > 100  # so _clone searched too
+        assert len(one._clone_len) > 100  # so the redirect searched too
 
     @pytest.mark.parametrize("batch", [False, True], ids=["add_letter", "_add_batch"])
     def test_failed_comparison_restores_the_borrowed_slot(self, batch):
@@ -453,54 +463,77 @@ def assert_matches_reference(w, mode):
             assert match.get(link(a, s), -1) == ref.link[r], (batch, s)
 
 
+def clone_kinds(a, c, add):
+    """Call add(c) on automaton a and return the kinds of clone it made, read
+    from the structure before and after, with no hook in the package.
+
+    Before: the transitions on c of the states on the suffix path the walk
+    takes, from the first state that has one.  That state is p, where the
+    walk stops; a clone splits its target q, and the redirect moves to the
+    clone the transitions of the states after p that led to q."""
+    hits = []  # (state, list, slot, target before) of each transition on c
+    s = link(a, len(text_of(a)))
+    while s != -1:
+        edges = a._out.get(s, []) if s >= 0 else a._clone_out[~s]
+        m = len(edges) // 2
+        if c in edges[:m]:
+            slot = m + edges.index(c, 0, m)
+            hits.append((s, edges, slot, edges[slot]))
+        elif not hits and chain(a, s) is not None and chain(a, s)[0] == c:
+            break  # the walk hits a chain edge, which is solid: no clone
+        s = link(a, s)
+    clones = len(a._clone_len)
+    add(c)
+    if len(a._clone_len) == clones:
+        return set()
+    clone = ~clones
+    (p, p_edges, p_slot, q), *further = hits
+    assert p_edges[p_slot] == clone
+    # a clone is shorter than its source state, so the transition a None
+    # target stands for is never solid: a walk hit on one clones
+    kinds = {"walk hit on a None target"} if q is None else set()
+    if q is None:
+        q = a._clone_src[~p] + 1
+    kinds.add("of a clone" if q < 0 else "of a prefix state with a list"
+              if q in a._out else "of a prefix state without a list")
+    redirected = [target for _, edges, slot, target in further if edges[slot] == clone]
+    if len(redirected) >= 2:
+        kinds.add("loop redirecting two or more states")
+    if None in redirected:
+        kinds.add("redirect over a None target")
+    return kinds
+
+
 class TestReferenceAutomaton:
-    """``_clone``'s redirect stops on state lengths; the reference's stops
-    by search.  A wrong stop would leave a transition into the wrong state,
-    or move one too many.  A clone's ``None`` target, read through
+    """The clone step's redirect stops on state lengths; the reference's
+    stops by search.  A wrong stop would leave a transition into the wrong
+    state, or move one too many.  A clone's ``None`` target, read through
     ``_clone_src``, must be read right by the walks and by the redirect."""
 
     @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
-    def test_isomorphic_to_the_reference(self, mode, monkeypatch):
-        kinds = Counter()
-        clone = OnlineSuffixAutomaton._clone
-
-        def counting_clone(a, p, q, c, length, p_edges, target):
-            kinds["of a clone" if q < 0 else "of a prefix state with a list"
-                  if q in a._out else "of a prefix state without a list"] += 1
-            # a clone is shorter than its source state, so the transition a
-            # None target stands for is never solid: a walk hit on one clones
-            kinds["walk hit on a None target"] += p_edges[target] is None
-            none_slots = []  # slots on c holding None further along p's suffix path
-            s = link(a, p)
-            while s != -1:
-                edges = a._clone_out[~s] if s < 0 else ()
-                m = len(edges) // 2
-                if c in edges[:m]:
-                    slot = m + edges.index(c, 0, m)
-                    if edges[slot] is None:
-                        none_slots.append((edges, slot))
-                s = link(a, s)
-            hops = a._hops
-            made = clone(a, p, q, c, length, p_edges, target)
-            # one hop is p's own transition, which the walk found
-            kinds["loop redirecting two or more states"] += a._hops - hops >= 3
-            kinds["redirect over a None target"] += sum(
-                edges[slot] == made for edges, slot in none_slots)
-            return made
-
-        monkeypatch.setattr(OnlineSuffixAutomaton, "_clone", counting_clone)
-        for alphabet in ("ab", "abc", string.ascii_lowercase):
-            assert_matches_reference(random.Random(1).choices(alphabet, k=2000), mode)
-        # on "ab" alone, one build makes 530, 8, 83, 970 and 176 of the kinds
-        # gated here
-        assert all(kinds[kind] > 0 for kind in (
-            "of a clone", "of a prefix state with a list",
-            "loop redirecting two or more states", "walk hit on a None target",
-            "redirect over a None target")), kinds
+    def test_isomorphic_to_the_reference(self, mode):
+        words = [random.Random(1).choices(alphabet, k=2000)
+                 for alphabet in ("ab", "abc", string.ascii_lowercase)]
+        for w in words:
+            assert_matches_reference(w, mode)
+        # each walk has its own copy of the clone step, so each must make
+        # every kind; on "ab" alone, one build makes 530, 8, 83, 970 and 149
+        # clones of the kinds gated here
+        for add in (OnlineSuffixAutomaton.add_letter,
+                    lambda a, c: a._add_batch([c], [])):
+            kinds = Counter()
+            for w in words:
+                a = OnlineSuffixAutomaton(mode)
+                for c in w:
+                    kinds.update(clone_kinds(a, c, partial(add, a)))
+            assert all(kinds[kind] > 0 for kind in (
+                "of a clone", "of a prefix state with a list",
+                "loop redirecting two or more states", "walk hit on a None target",
+                "redirect over a None target")), (add, kinds)
 
 
 class TestCorruptRedirect:
-    """``_clone`` trusts the structure to say where its redirect ends.  A
+    """The clone step trusts the structure to say where its redirect ends.  A
     state it must redirect that does not lead to the split state raises
     (an explicit ``raise``, so ``python -O`` keeps it) and stops the
     automaton."""

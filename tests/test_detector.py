@@ -467,12 +467,26 @@ class TestPinnedCounters:
     Manacher loop or to the automaton's walk must leave them exactly as
     they are, not merely within their bounds."""
 
+    @staticmethod
+    def totals(det):
+        s = det.finish()
+        return (s.manacher_loop_odd, s.manacher_loop_even, s.tree.nodes,
+                s.tree.suffix_link_hops, s.tree.child_probes)
+
     @pytest.mark.parametrize("word, mode", list(PINNED_TOTALS))
     def test_exact_totals(self, word, mode):
         det, _ = run(PINNED_WORDS[word](), mode)
-        s = det.finish()
-        assert (s.manacher_loop_odd, s.manacher_loop_even, s.tree.nodes,
-                s.tree.suffix_link_hops, s.tree.child_probes) == PINNED_TOTALS[word, mode]
+        assert self.totals(det) == PINNED_TOTALS[word, mode]
+
+    # push takes the automaton's add_letter walk, feed its _add_batch walk;
+    # ordered tokens256 searches the root's list of 255 symbols on both,
+    # past the walks' table of probe counts
+    @pytest.mark.parametrize("word, mode", list(PINNED_TOTALS))
+    def test_exact_totals_through_push(self, word, mode):
+        det = PalindromeDetector(mode)
+        for c in PINNED_WORDS[word]():
+            det.push(c)
+        assert self.totals(det) == PINNED_TOTALS[word, mode]
 
 
 class TestCapacity:
