@@ -11,8 +11,8 @@ more than that state's length is the shortest unique suffix.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from ._buffer import _MAX_SYMBOLS, _new_ints, _new_text
 
@@ -39,17 +39,20 @@ class ChildStorageMode(str, Enum):
     UNORDERED = "unordered"
 
 
-class PerfCounters(NamedTuple):
-    """Monotone structural totals, used to check the linear-size bounds."""
+class PerfCounters(namedtuple("PerfCounters",
+                              ("nodes", "suffix_link_hops", "child_probes", "transitions"))):
+    """Monotone structural totals, used to check the linear-size bounds.
 
-    nodes: int  # automaton states, root included
-    suffix_link_hops: int
-    #: Symbol comparisons spent locating transitions, chain edges included.
-    #: Exact in unordered mode; in ordered mode an upper bound of
-    #: ``m.bit_length() + 1`` per search among ``m`` symbols.
-    child_probes: int
-    #: Chain edges plus stored transitions, counted by :meth:`counters`.
-    transitions: int
+    - ``nodes``: automaton states, root included.
+    - ``suffix_link_hops``: suffix links followed.
+    - ``child_probes``: symbol comparisons spent locating transitions, chain
+      edges included.  Exact in unordered mode; in ordered mode an upper
+      bound of ``m.bit_length() + 1`` per search among ``m`` symbols.
+    - ``transitions``: chain edges plus stored transitions, counted by
+      :meth:`OnlineSuffixAutomaton.counters`.
+    """
+
+    __slots__ = ()
 
 
 class OnlineSuffixAutomaton:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import random
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .automaton import ChildStorageMode
 from .detector import PalindromeDetector
@@ -21,28 +21,16 @@ __all__ = ["GENERATORS", "BenchMeasurement", "make_input", "run_config"]
 GENERATORS = ("random", "abx", "uniform_a", "paper_example")
 
 
-class BenchMeasurement(NamedTuple):
+class BenchMeasurement(namedtuple("BenchMeasurement", (
+        "gen", "sigma", "n", "mode", "reps", "seed", "wall_best", "wall_mean",
+        "symbols_per_sec", "manacher_loop_iters", "manacher_loop_bound", "nodes",
+        "transitions", "child_probes", "suffix_link_hops", "distinct_count"))):
     """Aggregated result for one (generator, size, mode) configuration.
 
     The fields are the keys of the benchmark's JSON record, in its order.
     """
 
-    gen: str
-    sigma: int
-    n: int
-    mode: str
-    reps: int
-    seed: int
-    wall_best: float
-    wall_mean: float
-    symbols_per_sec: float
-    manacher_loop_iters: int
-    manacher_loop_bound: int
-    nodes: int
-    transitions: int
-    child_probes: int
-    suffix_link_hops: int
-    distinct_count: int
+    __slots__ = ()
 
 
 def make_input(generator: str, sigma: int, n: int, seed: int):

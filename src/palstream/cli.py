@@ -13,11 +13,10 @@ import gc
 import io
 import os
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import __version__
 from .automaton import ChildStorageMode
-from .bench import GENERATORS, BenchMeasurement, run_config
 from .detector import _BATCH, PalindromeDetector, StepReport
 
 
@@ -193,7 +192,8 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> PalindromeDetector:
 
 # -- bench ----------------------------------------------------------------------
 
-def _bench_table(results: list[BenchMeasurement]) -> str:
+def _bench_table(results: list) -> str:
+    """The table of ``run_config``'s measurements."""
     header = (f"{'gen':>13} {'sigma':>6} {'n':>9} {'mode':>9} {'best_s':>9} "
               f"{'sym/s':>12} {'loop/4n':>12} {'nodes':>9} {'probes':>12}")
     lines = [header]
@@ -215,6 +215,8 @@ def bench_command(generator: str, sigma: int, sizes: str, mode: str,
     and 3n - 4 transition bounds.
     """
     import json
+
+    from .bench import run_config
 
     try:
         size_list = tuple(int(part) for part in sizes.split(",") if part.strip())
@@ -245,11 +247,20 @@ def selftest_command() -> None:
 # -- arguments ------------------------------------------------------------------
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser: an argument it does not take is its usage error,
-    reported with its own usage line (argparse would pass it up to
-    ``palstream``'s)."""
+    """A command's parser.  ``arguments(parser)`` adds the command's
+    arguments when the command is the one being parsed, so that what only
+    one command needs (`bench`'s generators) loads with that command.  An
+    argument the command does not take is its usage error, reported with
+    its own usage line (argparse would pass it up to ``palstream``'s)."""
+
+    def __init__(self, *args, arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
 
     def parse_known_args(self, args=None, namespace=None):
+        arguments, self._arguments = self._arguments, None
+        if arguments is not None:
+            arguments(self)
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -261,34 +272,19 @@ def _with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return parser
 
 
-def _parser() -> argparse.ArgumentParser:
-    # `--help` without `-h`, and no abbreviations: `--form` is not `--format`
-    style = {"formatter_class": argparse.RawDescriptionHelpFormatter,
-             "add_help": False, "allow_abbrev": False}
-    parser = _with_help(argparse.ArgumentParser(
-        prog="palstream",
-        description="Online detection of distinct palindromes in a symbol stream.",
-        **style))
-    parser.add_argument("--version", action="version", help="Show the version and exit.",
-                        version=f"palstream, version {__version__}")
-    commands = parser.add_subparsers(title="commands", dest="command", required=True,
-                                     parser_class=_CommandParser)
-
-    def command(name, function) -> argparse.ArgumentParser:
-        doc = function.__doc__
-        sub = commands.add_parser(name, help=doc.partition("\n")[0],
-                                  description=doc.replace("\n    ", "\n"), **style)
-        sub.set_defaults(function=function)
-        return _with_help(sub)
-
-    run = command("run", run_command)
+def _run_arguments(run: argparse.ArgumentParser) -> None:
+    _with_help(run)
     run.add_argument("file", nargs="?", metavar="FILE")
     run.add_argument("--format", dest="fmt", choices=list(_FORMATS), default="table",
                      help="Per-symbol output format.  [default: %(default)s]")
     run.add_argument("--tokens", action="store_true",
                      help="Read whitespace-separated tokens instead of raw bytes.")
 
-    bench = command("bench", bench_command)
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
+    from .bench import GENERATORS
+
+    _with_help(bench)
     bench.add_argument("--gen", dest="generator", choices=list(GENERATORS),
                        required=True, help="Input generator.  [required]")
     bench.add_argument("--sigma", type=int, default=2,
@@ -306,7 +302,27 @@ def _parser() -> argparse.ArgumentParser:
                        help="Base seed; identical seeds reproduce identical inputs.  "
                             "[default: %(default)s]")
 
-    command("selftest", selftest_command)
+
+def _parser() -> argparse.ArgumentParser:
+    # `--help` without `-h`, and no abbreviations: `--form` is not `--format`
+    style = {"formatter_class": argparse.RawDescriptionHelpFormatter,
+             "add_help": False, "allow_abbrev": False}
+    parser = _with_help(argparse.ArgumentParser(
+        prog="palstream",
+        description="Online detection of distinct palindromes in a symbol stream.",
+        **style))
+    parser.add_argument("--version", action="version", help="Show the version and exit.",
+                        version=f"palstream, version {__version__}")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True,
+                                     parser_class=_CommandParser)
+    # selftest takes no argument but --help
+    for name, function, arguments in (("run", run_command, _run_arguments),
+                                      ("bench", bench_command, _bench_arguments),
+                                      ("selftest", selftest_command, _with_help)):
+        doc = function.__doc__
+        commands.add_parser(name, help=doc.partition("\n")[0], arguments=arguments,
+                            description=doc.replace("\n    ", "\n"),
+                            **style).set_defaults(function=function)
     return parser
 
 

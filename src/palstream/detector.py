@@ -9,8 +9,9 @@ where it first becomes a suffix.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ChildStorageMode, OnlineSuffixAutomaton, PerfCounters
 from .manacher import OnlineManacher, _add_spans
@@ -27,31 +28,33 @@ _new_tuple = tuple.__new__
 _BATCH = 256
 
 
-class StepReport(NamedTuple):
+class StepReport(namedtuple("StepReport", (
+        "n", "max_pal_odd", "max_pal_even", "max_pal", "min_unique_suff",
+        "new_palindrome", "closure_len", "distinct_count"))):
     """Everything known about the stream right after one symbol.
 
     A named tuple: it unpacks in field order and compares equal to the plain
     tuple of its fields.
+
+    - ``n``: symbols consumed so far.
+    - ``max_pal``: the max of the two parities, ``max_pal_odd`` and
+      ``max_pal_even``.
+    - ``new_palindrome``: a 1-based inclusive span, or None.
+    - ``closure_len``: length of the palindromic closure of the prefix.
+    - ``distinct_count``: distinct non-empty palindromes seen so far.
     """
 
-    n: int  # symbols consumed so far
-    max_pal_odd: int
-    max_pal_even: int
-    max_pal: int  # max of the two parities
-    min_unique_suff: int
-    new_palindrome: tuple[int, int] | None  # 1-based inclusive span, or None
-    closure_len: int  # length of the palindromic closure of the prefix
-    distinct_count: int  # distinct non-empty palindromes seen so far
+    __slots__ = ()
 
 
-class DetectorSummary(NamedTuple):
-    """Snapshot of totals; taking one leaves the detector usable."""
+class DetectorSummary(namedtuple("DetectorSummary", (
+        "n", "distinct_count", "manacher_loop_odd", "manacher_loop_even", "tree"))):
+    """Snapshot of totals; taking one leaves the detector usable.
 
-    n: int
-    distinct_count: int
-    manacher_loop_odd: int
-    manacher_loop_even: int
-    tree: PerfCounters
+    ``tree`` is the automaton's :class:`PerfCounters`.
+    """
+
+    __slots__ = ()
 
     @property
     def manacher_loop_total(self) -> int:

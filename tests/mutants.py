@@ -109,6 +109,14 @@ MUTANTS = (
     Mutant("main frees the detector before EOF", "cli.py",
            "result = function(**options)", "function(**options)",
            ("tests/test_cli.py::TestRun::test_output_ends_before_the_detector_is_freed",)),
+    # `palstream run` loads neither `bench` nor `typing`.
+    Mutant("cli imports bench at module level", "cli.py",
+           "from . import __version__\n", "from . import __version__\nfrom . import bench\n",
+           ("tests/test_cli.py::TestImports",)),
+    Mutant("a record module imports typing", "detector.py",
+           "from collections import namedtuple\n",
+           "import typing\nfrom collections import namedtuple\n",
+           ("tests/test_cli.py::TestImports",)),
     # run pauses the cyclic collector for the stream and gives the caller's
     # setting back.
     Mutant("run streams with the collector on", "cli.py",

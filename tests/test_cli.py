@@ -19,7 +19,7 @@ import pytest
 import palstream
 import palstream.cli
 from palstream import ChildStorageMode, DetectorSummary, PalindromeDetector
-from palstream.bench import run_config
+from palstream.bench import GENERATORS, run_config
 from palstream.cli import _FORMATS, _token_lists, main
 from support import invoke, limit_symbols
 import tracing
@@ -203,39 +203,46 @@ def records_before_eof(env, args, data, want):
 
 
 # `python -c` code that runs `palstream.cli` as `__main__`, as `python -m`
-# does, with an atexit handler that holds the interpreter's teardown until
-# the descriptor given as the first argument has a byte or EOF to read
-HELD_AT_EXIT = ("import atexit, os, runpy, sys; "
-                "atexit.register(os.read, int(sys.argv.pop(1)), 1); "
-                "runpy.run_module('palstream.cli', run_name='__main__', alter_sys=True)")
+# does, with an atexit handler that holds the interpreter's teardown: it
+# writes one byte to the descriptor given as the second argument, then waits
+# until the one given as the first has a byte or EOF to read
+_HOLD = ("import atexit, os, runpy, sys; "
+         "go_fd, held_fd = int(sys.argv.pop(1)), int(sys.argv.pop(1)); "
+         "hold = lambda *_: (os.write(held_fd, b'.'), os.read(go_fd, 1)); ")
+_RUN_CLI = "runpy.run_module('palstream.cli', run_name='__main__', alter_sys=True)"
+HELD_AT_EXIT = _HOLD + "atexit.register(hold); " + _RUN_CLI
 
 
 # As HELD_AT_EXIT, but what is held is the freeing of a detector: its
-# `__del__` waits on the descriptor, in place of the atexit handler
-HELD_AT_DETECTOR_FREE = (
-    "import os, runpy, sys, palstream.detector; "
-    "go_fd = int(sys.argv.pop(1)); "
-    "palstream.detector.PalindromeDetector.__del__ = lambda self: os.read(go_fd, 1); "
-    "runpy.run_module('palstream.cli', run_name='__main__', alter_sys=True)")
+# `__del__` holds, in place of the atexit handler
+HELD_AT_DETECTOR_FREE = (_HOLD + "import palstream.detector; "
+                         "palstream.detector.PalindromeDetector.__del__ = hold; " + _RUN_CLI)
 
 
 def output_before_teardown(env, args, stdin, timeout=30.0, held=HELD_AT_EXIT):
     """`palstream ARGS` in ``env`` on ``stdin``, held at exit (or where
-    ``held`` holds it): the stdout it writes up to EOF, or None when no EOF
-    comes within ``timeout``, and its exit status once it is let go."""
+    ``held`` holds it): the stdout it writes up to EOF, or None when it is
+    held before EOF (or no EOF comes within ``timeout``), and its exit
+    status once it is let go.  The child's byte that says it is held is
+    judged only once stdout has nothing more to read, since in a run that
+    ends its output first the EOF is there before the byte."""
     go_read, go_write = os.pipe()
+    held_read, held_write = os.pipe()
     try:
         proc = subprocess.Popen(
-            [sys.executable, "-c", held, str(go_read), *args], stdin=stdin,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, pass_fds=(go_read,))
+            [sys.executable, "-c", held, str(go_read), str(held_write), *args], stdin=stdin,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            pass_fds=(go_read, held_write))
     finally:
         os.close(go_read)
+        os.close(held_write)
     try:
         fd, received = proc.stdout.fileno(), b""
         deadline = time.monotonic() + timeout
         while True:
-            left = deadline - time.monotonic()
-            if left <= 0 or not select.select([fd], [], [], left)[0]:
+            left = max(0.0, deadline - time.monotonic())
+            ready = select.select([fd, held_read], [], [], left)[0]
+            if fd not in ready:  # held with its output open, or out of time
                 received = None
                 break
             chunk = os.read(fd, 65536)
@@ -243,12 +250,13 @@ def output_before_teardown(env, args, stdin, timeout=30.0, held=HELD_AT_EXIT):
                 break
             received += chunk
     finally:
-        os.close(go_write)  # the held handler reads EOF and returns
+        os.close(go_write)  # the hold reads EOF and returns
         try:
             proc.wait(timeout=60)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        os.close(held_read)
         proc.stdout.close()
     return received, proc.returncode
 
@@ -987,6 +995,24 @@ class TestUsage:
         for name in [*names, "--help"]:
             assert name in shown, name
 
+    def test_bench_help_lists_exactly_the_generators(self):
+        result = invoke(["bench", "--help"])
+        assert result.exit_code == 0
+        listed = {line.split()[1] for line in result.stdout.splitlines()
+                  if line.lstrip().startswith("--gen {")}
+        assert listed == {"{" + ",".join(GENERATORS) + "}"}
+
+    def test_unknown_generator_names_the_generators(self):
+        result = invoke(["bench", "--gen", "bogus"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        last = result.stderr.splitlines()[-1]
+        head = "palstream bench: error: argument --gen: invalid choice: 'bogus' (choose from "
+        assert last.startswith(head) and last.endswith(")"), last
+        # Python 3.12.8 and later name the choices without quotes
+        named = [name.strip("'") for name in last[len(head):-1].split(", ")]
+        assert named == list(GENERATORS)
+
 
 class TestClosedPipe:
     @pytest.mark.parametrize("unbuffered", [None, "1"],
@@ -1070,15 +1096,33 @@ class TestCliRss:
 
 class TestImports:
     def test_run_imports_neither_the_tools_nor_json(self):
-        # `palstream run` needs the engine and `bench` (for --gen's choices);
-        # the self-test, its oracle and json load with their commands.  The
-        # arguments are parsed by argparse, not click, and the package's
-        # records are named tuples, so `run` loads no dataclasses either
+        # `palstream run` needs the engine only: the self-test, its oracle,
+        # `bench` and json load with their commands.  The arguments are
+        # parsed by argparse, not click, and the package's records are named
+        # tuples, so `run` loads no dataclasses either
         code = ("import sys; before = set(sys.modules); import palstream.cli; "
                 "print(*sorted(set(sys.modules) - before))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env=cli_env(), timeout=60, check=True)
         added = set(proc.stdout.decode().split())
         assert "palstream.cli" in added
-        assert not added & {"palstream.selftest", "palstream.oracle", "json",
-                            "dataclasses", "click"}
+        assert not added & {"palstream.selftest", "palstream.oracle", "palstream.bench",
+                            "json", "dataclasses", "click"}
+
+    def test_a_clean_interpreter_loads_no_bench_random_or_typing(self):
+        # under -S no site module has loaded random or typing beforehand
+        code = "import sys, palstream.cli; print(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              env=cli_env(), timeout=60, check=True)
+        loaded = set(proc.stdout.decode().split())
+        assert "palstream.cli" in loaded
+        assert not loaded & {"palstream.bench", "random", "typing"}
+
+    def test_bench_loads_with_its_command(self):
+        code = ("import sys; from palstream.cli import _parser; "
+                "_parser().parse_args(sys.argv[1:]); print('palstream.bench' in sys.modules)")
+        for args, loaded in ((["run"], "False"), (["selftest"], "False"),
+                             (["bench", "--gen", "random"], "True")):
+            proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
+                                  capture_output=True, env=cli_env(), timeout=60, check=True)
+            assert proc.stdout.decode().split() == [loaded], args

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import pickle
 import random
 import string
 import sys
@@ -17,7 +18,7 @@ from palstream import (ChildStorageMode, DetectorSummary, OnlineManacher,
 from palstream import cli
 from palstream import detector as detector_module
 from palstream import oracle
-from palstream.bench import run_config
+from palstream.bench import BenchMeasurement, run_config
 from palstream.selftest import oracle_failures
 from reference import expected_reports
 from support import FailsOnCall, all_strings, fibonacci_word, limit_symbols, random_tokens
@@ -283,6 +284,78 @@ class TestStepReport:
             fields = tuple(getattr(record, name) for name in record._fields)
             assert tuple(record) == fields
             assert record == fields
+
+
+_TREE = (4, 1, 2, 4)
+# each record class: the first line of its docstring, its fields in order,
+# and the values of one instance
+RECORDS = {
+    "StepReport": (
+        StepReport, "Everything known about the stream right after one symbol.",
+        ("n", "max_pal_odd", "max_pal_even", "max_pal", "min_unique_suff",
+         "new_palindrome", "closure_len", "distinct_count"),
+        (3, 3, 0, 3, 2, (1, 3), 3, 3)),
+    "DetectorSummary": (
+        DetectorSummary, "Snapshot of totals; taking one leaves the detector usable.",
+        ("n", "distinct_count", "manacher_loop_odd", "manacher_loop_even", "tree"),
+        (3, 3, 2, 2, PerfCounters(*_TREE))),
+    "PerfCounters": (
+        PerfCounters, "Monotone structural totals, used to check the linear-size bounds.",
+        ("nodes", "suffix_link_hops", "child_probes", "transitions"),
+        _TREE),
+    "BenchMeasurement": (
+        BenchMeasurement,
+        "Aggregated result for one (generator, size, mode) configuration.",
+        ("gen", "sigma", "n", "mode", "reps", "seed", "wall_best", "wall_mean",
+         "symbols_per_sec", "manacher_loop_iters", "manacher_loop_bound", "nodes",
+         "transitions", "child_probes", "suffix_link_hops", "distinct_count"),
+        ("random", 26, 100, "ordered", 1, 0, 0.5, 0.75, 200.0, 150, 400, 130, 190,
+         900, 80, 40)),
+}
+
+
+@pytest.mark.parametrize("cls, doc, fields, values", RECORDS.values(), ids=list(RECORDS))
+class TestRecordContract:
+    """The package's four record classes are named tuples with a fixed
+    contract, whatever builds them."""
+
+    def test_docstring_and_fields_in_order(self, cls, doc, fields, values):
+        assert cls.__doc__.partition("\n")[0] == doc
+        assert cls._fields == fields
+
+    def test_equals_the_plain_tuple(self, cls, doc, fields, values):
+        record = cls(**dict(zip(fields, values)))
+        assert record == cls(*values) == values
+        assert tuple(record) == values
+        assert type(cls._make(values)) is cls
+
+    def test_asdict_and_replace(self, cls, doc, fields, values):
+        record = cls(*values)
+        assert record._asdict() == dict(zip(fields, values))
+        assert list(record._asdict()) == list(fields)
+        replaced = record._replace(**{fields[-1]: 7})
+        assert type(replaced) is cls
+        assert replaced == values[:-1] + (7,)
+
+    def test_repr_and_no_instance_dict(self, cls, doc, fields, values):
+        record = cls(*values)
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+        assert repr(record) == f"{cls.__name__}({shown})"
+        assert not hasattr(record, "__dict__")
+
+    def test_pickle_round_trip(self, cls, doc, fields, values):
+        record = cls(*values)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(record, protocol))
+            assert type(loaded) is cls
+            assert loaded == record
+
+
+def test_a_built_summary_has_its_properties_and_bounds():
+    summary = DetectorSummary(*RECORDS["DetectorSummary"][3])
+    assert summary.manacher_loop_total == 4
+    assert summary.manacher_loop_bound == 12
+    assert summary.bound_problems() == []
 
 
 class TestOracleEquivalence:
