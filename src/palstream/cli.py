@@ -87,7 +87,9 @@ def _token_lists(stream, out) -> Iterator[list[str]]:
 
     A token that a read leaves open is kept as the pieces each read brings
     and joined once, in the list of the read that ends it, so a long token
-    costs time linear in its length.
+    costs time linear in its length.  Equal tokens of one list are one
+    string, the first of them: the table that finds it lives for that read
+    only, so the run keeps no string that its text does not.
     """
     decode = codecs.getincrementaldecoder("utf-8")().decode
     head: list[str] = []  # the pieces of the token the reads so far leave open
@@ -101,6 +103,9 @@ def _token_lists(stream, out) -> Iterator[list[str]]:
                 head = []
         if parts and not chunk[-1].isspace():
             head = [parts.pop()]
+        # rebound before the yield, so the later copies are freed before
+        # the detector takes the list
+        parts = list(map({}.setdefault, parts, parts))
         yield parts
     if head:
         yield ["".join(head)]

@@ -117,6 +117,10 @@ MUTANTS = (
            "from collections import namedtuple\n",
            "import typing\nfrom collections import namedtuple\n",
            ("tests/test_cli.py::TestImports",)),
+    # run --tokens keeps one string per distinct token of a read.
+    Mutant("run --tokens keeps every token object", "cli.py",
+           "        parts = list(map({}.setdefault, parts, parts))\n", "",
+           ("tests/test_cli.py::TestTokenObjects",)),
     # run pauses the cyclic collector for the stream and gives the caller's
     # setting back.
     Mutant("run streams with the collector on", "cli.py",

@@ -522,16 +522,21 @@ class TestRun(RunInChildChecks):
         assert result.exit_code == 1
         assert "failed reading input" in result.stderr
 
-    @pytest.mark.parametrize("data", ["h\u00e9llo w\u00f6rld  h\u00e9llo\n\u00e9 x \u00e9",
-                                      "\u20ac\U0001f600 \u20ac"])
-    def test_tokens_split_across_reads(self, data):
+    @pytest.mark.parametrize("data, size", [
+        ("h\u00e9llo w\u00f6rld  h\u00e9llo\n\u00e9 x \u00e9", 1),
+        ("\u20ac\U0001f600 \u20ac", 1),
+        # each read cuts an "ab", and the joined token equals the ones before
+        ("a ab ab ab ab", 3),  # read as "a a", "b a", "b a", "b a", "b"
+        ("ab ab ab ab", 4),  # read as "ab a", "b ab", " ab"
+    ])
+    def test_tokens_split_across_reads(self, data, size):
         data = data.encode()
         one_shot = invoke(["run", "--tokens", "--format", "jsonl"], input=data)
-        by_byte = invoke(["run", "--tokens", "--format", "jsonl"],
-                         input=ShortReads(data))
-        assert one_shot.exit_code == by_byte.exit_code == 0
+        by_reads = invoke(["run", "--tokens", "--format", "jsonl"],
+                          input=ShortReads(data, size))
+        assert one_shot.exit_code == by_reads.exit_code == 0
         assert len(jsonl_records(one_shot.stdout)) == len(data.decode().split())
-        assert by_byte.stdout == one_shot.stdout
+        assert by_reads.stdout == one_shot.stdout
 
     def test_a_token_spans_three_reads(self):
         data = b"ab cdefghij k"  # read as "ab c", "defg", "hij ", "k", then EOF
@@ -696,6 +701,48 @@ class TestCollector:
         assert isinstance(detector, PalindromeDetector)
         assert detector.n == len(data)
         assert detector.distinct_count == pushed_reports(data)[-1].distinct_count
+
+
+class TestTokenObjects:
+    """`run --tokens` keeps one string per distinct token of each read: the
+    text, the automaton's lists and the records share it."""
+
+    WORDS = ("alpha", "beta", "gamma", "delta")
+
+    def tokens(self, n, seed):
+        """``n`` tokens, each followed by a space: no token is open at EOF."""
+        return "".join(w + " " for w in random.Random(seed).choices(self.WORDS, k=n)).encode()
+
+    @staticmethod
+    def objects(detector):
+        return len({id(c) for c in detector._tree._text[2:]})
+
+    def test_a_read_yields_equal_tokens_as_one_object(self):
+        data = b"alpha beta alpha\nbeta  alpha gamma\n"
+        (parts,) = _token_lists(io.BytesIO(data), NoFlush())
+        assert parts == data.decode().split()
+        assert len({id(t) for t in parts}) == 3
+
+    def test_one_read_holds_one_object_per_distinct_token(self, monkeypatch, tmp_path):
+        data = self.tokens(2000, 5)
+        assert len(data) < 65536  # one read
+        path = tmp_path / "tokens.txt"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="utf-8"))
+        detector = palstream.cli.run_command(str(path), "jsonl", True)
+        assert detector.n == 2000
+        assert self.objects(detector) == len(self.WORDS)
+
+    @pytest.mark.parametrize("size", [64, 512])
+    def test_each_read_holds_at_most_one_object_per_distinct_token(self, monkeypatch, size):
+        data = self.tokens(300, 6)
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(ShortReads(data, size), encoding="utf-8"))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="utf-8"))
+        detector = main(["run", "--tokens"], standalone_mode=False)
+        lists = -(-len(data) // size)  # one a read
+        assert detector.n == 300
+        assert self.objects(detector) <= len(self.WORDS) * lists < detector.n
 
 
 class TestFormats:
