@@ -523,11 +523,11 @@ class TestRun(RunInChildChecks):
         assert "failed reading input" in result.stderr
 
     @pytest.mark.parametrize("data, size", [
-        ("h\u00e9llo w\u00f6rld  h\u00e9llo\n\u00e9 x \u00e9", 1),
-        ("\u20ac\U0001f600 \u20ac", 1),
+        *(pytest.param(data, 1, id=data) for data in (
+            "h\u00e9llo w\u00f6rld  h\u00e9llo\n\u00e9 x \u00e9", "\u20ac\U0001f600 \u20ac")),
         # each read cuts an "ab", and the joined token equals the ones before
-        ("a ab ab ab ab", 3),  # read as "a a", "b a", "b a", "b a", "b"
-        ("ab ab ab ab", 4),  # read as "ab a", "b ab", " ab"
+        pytest.param("a ab ab ab ab", 3, id="a ab ab ab ab-3"),  # "a a", "b a", ..., "b"
+        pytest.param("ab ab ab ab", 4, id="ab ab ab ab-4"),  # "ab a", "b ab", " ab"
     ])
     def test_tokens_split_across_reads(self, data, size):
         data = data.encode()
