@@ -1,6 +1,6 @@
 """The symbol buffer that the suffix automaton and the Manacher trackers share.
 
-A text is the list :func:`_new_text` starts, ``[None, boundary, s1, s2,
+A text is the list :func:`_new_text` starts, ``[boundary, boundary, s1, s2,
 ...]``, so symbol ``k`` is ``text[k + 1]`` and no palindrome reaches past
 the boundary.  It holds at most :data:`_MAX_SYMBOLS` symbols, so every int
 the automaton stores fits an array from :func:`_new_ints`, 4 bytes an item.
@@ -27,10 +27,13 @@ def _new_ints(*values: int) -> array:
 
 
 def _new_text() -> list:
-    """An empty symbol buffer: ``[None, boundary]``, then one slot per symbol.
+    """An empty symbol buffer: ``[boundary, boundary]``, then one slot per
+    symbol.
 
-    Slot 0 is padding, so that positions are 1-based.  Slot 1 is the
-    boundary, a fresh object no caller can hold, so it equals no input
-    symbol and every palindrome stops there.
+    The boundary is a fresh object no caller can hold, so it equals no input
+    symbol and every palindrome stops there.  It fills two slots, so that
+    positions are 1-based and the first symbol's odd and even tests (slots 0
+    and 1) both meet it.
     """
-    return [None, object()]
+    boundary = object()
+    return [boundary, boundary]

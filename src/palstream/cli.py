@@ -128,9 +128,7 @@ def run_command(file: str | None, fmt: str, tokens: bool) -> PalindromeDetector:
     Bytes are the symbols by default; --tokens switches to whitespace-
     separated tokens, which exercises large alphabets.  A run holds one
     string per distinct token of each 64 KiB read, which its text and its
-    records share: on 200,000 Zipf tokens over 4,096 words the peak RSS
-    was 33 MB, against 42 MB with a string per token, and on 100,000
-    distinct tokens 27 MB either way (Python 3.11).  Output is flushed
+    records share, so a repeated token costs a pointer.  Output is flushed
     before each read of more input, so the records for every symbol read
     so far are out before the run waits for input, and prefixes of the
     input always yield prefixes of the output.  Each read is cut into

@@ -38,13 +38,14 @@ class OnlineManacher:
     is left behind.  ``_rad`` is an array in the narrowest typecode that
     holds every radius so far: 'B' (1 byte a radius) until a radius passes
     255, 'H' (2 bytes) until one passes 65,535, then 'i' (4 bytes), which
-    holds any radius in a text of ``_MAX_SYMBOLS`` symbols.  Once a symbol
-    has been added, every :meth:`add_letter` starts with ``_i + _r == n``,
-    ``n`` being the position of the last symbol before the new one, so it
-    first tests whether the new symbol extends that palindrome, which
-    touches no storage.  So ``_i + _r - 2`` counts the symbols after the
-    first, each of which makes that first test, and ``_loop_iters`` holds
-    only the center searches' further passes: a hit writes no counter.
+    holds any radius in a text of ``_MAX_SYMBOLS`` symbols.  A new tracker
+    is centered on the boundary, so every :meth:`add_letter` starts with
+    ``_i + _r == n``, ``n`` being the position of the last symbol before
+    the new one, and first tests whether the new symbol extends that
+    palindrome, which touches no storage (the first symbol's test meets the
+    boundary).  So ``_i + _r - 2`` counts the symbols after the first, each
+    of which makes that first test, and ``_loop_iters`` holds only the
+    center searches' further passes: a hit writes no counter.
 
     A tracker built by the constructor owns its text and appends each
     symbol to it; once :meth:`add_letter` has raised (say, in a symbol's
@@ -65,8 +66,8 @@ class OnlineManacher:
         self.delta = delta
         self._text = _new_text()
         self._owns_text = True
-        self._rad = array("B", (0, 0))  # padding and boundary; grown only by append
-        self._i = 2  # the first symbol's center, one past the boundary
+        self._rad = array("B", (0,))  # slot 0's radius; grown only by append
+        self._i = 1  # centered on the boundary, so i + r == n from the start
         self._r = 0
         self._loop_iters = 0
         self._failure: BaseException | None = None
@@ -100,8 +101,6 @@ class OnlineManacher:
             text.append(c)
         n = len(text) - 2  # the last position before c, text[n + 1]
         i, r = self._i, self._r
-        if i > n:  # the first symbol: nothing before it to compare with
-            return 1 - delta
         try:
             if text[i - r - 1 + delta] == c:
                 self._r = r + 1  # the suffix-palindrome extends over c
@@ -163,20 +162,16 @@ def _add_spans(odd: OnlineManacher, even: OnlineManacher, start: int, stop: int,
     ``even_lengths``.
 
     One loop over the positions, which takes each symbol through both
-    parities' steps, with the trackers' state in locals that go back to the
-    slots once it ends.  An exception propagates with each tracker's answers,
-    slots and loop total as :meth:`~OnlineManacher.add_letter` leaves them:
-    a symbol that fails in the even step has already been absorbed by the
-    odd tracker, whose answers and center, and so its loop total, then count
-    it.
+    parities' steps, the first symbol of the text included, with the
+    trackers' state in locals that go back to the slots once it ends.  An
+    exception propagates with each tracker's answers, slots and loop total
+    as :meth:`~OnlineManacher.add_letter` leaves them: a symbol that fails
+    in the even step has already been absorbed by the odd tracker, whose
+    answers and center, and so its loop total, then count it.
     """
     text, orad, erad = odd._text, odd._rad, even._rad
     odd_append, even_append = odd_lengths.append, even_lengths.append
     oi, o_r, ei, er = odd._i, odd._r, even._i, even._r
-    if start == 2 < stop:  # the first symbol: nothing before it to compare with
-        odd_append(1)
-        even_append(0)
-        start = 3
     # the center searches' passes; the first tests are counted from the centers
     oiters = eiters = 0
     try:

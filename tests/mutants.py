@@ -76,11 +76,17 @@ MUTANTS = (
            "even._rad = erad = array(", "erad = array(",
            (_FEED_WIDTHS,)),
     Mutant("radii start at four bytes", "manacher.py",
-           'self._rad = array("B", (0, 0))', 'self._rad = array("i", (0, 0))',
+           'self._rad = array("B", (0,))', 'self._rad = array("i", (0,))',
            _ONE_BYTE_RADII),
     Mutant("radii start at two bytes", "manacher.py",
-           'self._rad = array("B", (0, 0))', 'self._rad = array("H", (0, 0))',
+           'self._rad = array("B", (0,))', 'self._rad = array("H", (0,))',
            _ONE_BYTE_RADII),
+    # The boundary fills both slots before the first symbol. Slot 0 is read
+    # only by the first symbol's odd test, where a None would let a None
+    # first symbol extend a palindrome over it.
+    Mutant("the padding slot is None", "_buffer.py",
+           "return [boundary, boundary]", "return [None, boundary]",
+           ("tests/test_differential.py::TestPaddingSlots",)),
     # A tracker's loop total counts one first test per symbol after the first
     # from its center, which a symbol that fails has not moved, not from its
     # text, which holds that symbol (and, on the batch path, the ones after).

@@ -169,8 +169,9 @@ class TestFeedFailures:
 
     #: Where the failing symbol sits, with batches of 8 symbols: the first,
     #: a middle and the last slot of the second batch, and the first slot of
-    #: the third.  The first symbol of all makes no comparison.
-    POSITIONS = {"first": 8, "middle": 11, "last": 15, "next_first": 16}
+    #: the third; and the text's first symbol, compared only with the
+    #: boundary.
+    POSITIONS = {"first": 8, "middle": 11, "last": 15, "next_first": 16, "text_first": 0}
 
     @staticmethod
     def word(position, failing):
@@ -201,7 +202,8 @@ class TestFeedFailures:
                 assert isinstance(later, RuntimeError), (k, later)
                 assert later.__cause__ is items[failed]
             assert len(items) == len(word)
-            assert (det.n, det.distinct_count) == (failed, want[failed - 1].distinct_count)
+            distinct = want[failed - 1].distinct_count if failed else 0
+            assert (det.n, det.distinct_count) == (failed, distinct)
 
     @pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("where", list(POSITIONS))

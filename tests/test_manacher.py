@@ -47,12 +47,18 @@ class TestConstruction:
             OnlineManacher(0).max_pal()
 
     def test_fresh_state(self):
-        # only the boundary in the text, center candidate parked one past the end
+        # the boundary in slots 0 and 1 and the center on it: before every
+        # symbol, the first included, the suffix-palindrome ends at the
+        # text's last position
         for delta in (0, 1):
             m = OnlineManacher(delta)
             assert len(m._text) - 2 == 0  # input symbols; the boundary is not one
-            assert m._i == 2
-            assert radii_of(m) == (0,)
+            assert m._text[0] is m._text[1]
+            assert (m._i, m._r, radii_of(m)) == (1, 0, (0,))
+            for c in "abaab":
+                assert m._i + m._r == len(m._text) - 1, (delta, c)
+                assert len(m._rad) == m._i, (delta, c)
+                m.add_letter(c)
 
     def test_bad_parity_rejected(self):
         # a float equal to 0 or 1 would pass `in (0, 1)` and then fail as a

@@ -18,7 +18,7 @@ def test_each_snippet_occurs_once_and_is_changed(mutant):
 
 
 def test_a_replacement_that_changes_nothing_is_reported():
-    snippet = 'self._rad = array("B", (0, 0))'
+    snippet = 'self._rad = array("B", (0,))'
     mutant = Mutant("no change", "manacher.py", snippet, snippet, (QUICK_TEST,))
     assert check(mutant) == "its replacement changes nothing"
 
@@ -30,8 +30,8 @@ def test_a_missing_snippet_is_reported():
 
 def test_a_mutant_whose_tests_pass_is_reported():
     # a comment changes nothing that a test can see
-    mutant = Mutant("comment only", "manacher.py", "# padding and boundary",
-                    "# the padding and the boundary", (QUICK_TEST,))
+    mutant = Mutant("comment only", "manacher.py", "# slot 0's radius",
+                    "# the radius of slot 0", (QUICK_TEST,))
     assert check(mutant) == "its tests pass"
 
 

@@ -17,6 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from palstream import ChildStorageMode, PalindromeDetector
 from reference import expected_reports
+from support import FailsOnCall
 
 
 POOLS = {
@@ -66,6 +67,17 @@ def test_lists_report_as_the_equal_tuples(mode):
     assert list(PalindromeDetector(mode).feed(lists)) == list(PalindromeDetector(mode).feed(tuples))
 
 
+@pytest.mark.parametrize("mode", list(ChildStorageMode), ids=lambda m: m.value)
+def test_the_first_symbol_is_compared_with_the_boundary(mode):
+    # once in each tracker, as any symbol is once its palindrome reaches the
+    # start; the automaton has no transition yet to compare it with
+    never = FailsOnCall(0)
+    PalindromeDetector(mode).push(never)
+    assert never.calls == 2
+    with pytest.raises(ValueError, match="no comparison"):
+        PalindromeDetector(mode).push(Incomparable())
+
+
 def stream_machine(mode):
     """Pushes of pool symbols, ``finish()`` at any point, and one push that
     fails: reports match the reference, and the failure poisons the detector
@@ -95,7 +107,7 @@ def stream_machine(mode):
             assert summary.distinct_count == (
                 self.reports[-1].distinct_count if self.reports else 0)
 
-        @precondition(lambda self: self.reports and not self.failed)
+        @precondition(lambda self: not self.failed)
         @rule()
         def push_incomparable(self):
             with pytest.raises(ValueError, match="no comparison"):
